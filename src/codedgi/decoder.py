@@ -4,10 +4,15 @@ Two decoders share the option/result types:
 
 - decode_sum_bp: sum-product on the bipartite pixel/measurement graph.
   Measurement j observes the integer count of lit pixels among its neighbors
-  through a Gaussian channel, so the check update mixes a Poisson-binomial
-  count pmf with the per-count likelihoods. Updates are batched by pattern
-  degree and use prefix pmfs plus suffix expected-likelihood tables, giving
-  O(d^2) work per check per iteration.
+  through a Gaussian channel, so each check-to-pixel message mixes the
+  Poisson-binomial pmf of the other neighbors' count with the per-count
+  likelihoods. Checks are batched by pattern degree d, and all d
+  leave-one-out sums of a check come from one segment tree over its edges,
+  padded to d' = 2**ceil(log2 d) leaves with p = 0 (a neighbor that is
+  never lit, so the padding is exact). The up pass convolves sibling count
+  pmfs level by level; the down pass correlates each parent's
+  expected-likelihood table with the sibling pmf to get each child's table.
+  That is O(d^2) work per check per iteration in O(log d) numpy calls.
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
   for the binary-symbol channel view of the same system.
@@ -22,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import ParityCheckMatrix
 from .forward import (
@@ -160,7 +166,7 @@ class _DegreeGroup:
         self.px = px  # (B, d) pixel indices
         self.p2m = None  # (B, d) pixel->measurement prob-of-one
         self.m2p = None  # (B, d) measurement->pixel prob-of-one
-        self.lik = None  # (B, d+2) per-count likelihood, zero-padded
+        self.lik = None  # (d'+1, B) per-count likelihood, zero past count d
 
 
 def _build_groups(ens: IlluminationEnsemble) -> list[_DegreeGroup]:
@@ -180,7 +186,11 @@ def _build_groups(ens: IlluminationEnsemble) -> list[_DegreeGroup]:
 def _likelihood_table(
     r: np.ndarray, amp: np.ndarray, degree: int, ch: ChannelParams
 ) -> np.ndarray:
-    """(B, d+2) relative likelihoods over counts 0..d, padded with a zero."""
+    """(d'+1, B) relative likelihoods over counts 0..d', zero past count d.
+
+    d' = 2**ceil(log2 d) is the leaf count of the check-update tree; counts
+    past d are unreachable, since the padding leaves are never lit.
+    """
     counts = np.arange(degree + 1, dtype=np.float64)
     mean = amp[:, None] * math.sqrt(ch.es) * counts[None, :]
     if ch.n0 == 0:
@@ -189,52 +199,58 @@ def _likelihood_table(
     else:
         logf = -((r[:, None] - mean) ** 2) / ch.n0
         tab = np.exp(logf - logf.max(axis=1, keepdims=True))
-    out = np.zeros((len(r), degree + 2))
-    out[:, : degree + 1] = tab
+    out = np.zeros(((1 << (degree - 1).bit_length()) + 1, len(r)))
+    out[: degree + 1] = tab.T
     return out
 
 
-def _check_update(group: _DegreeGroup, chunk_cells: int = 4_000_000) -> None:
+def _check_update(group: _DegreeGroup) -> None:
     """Recompute measurement->pixel messages from the current pixel messages.
 
-    For edge t the outgoing message needs the count pmf over the other
-    neighbors; it is assembled from a running prefix pmf (neighbors before t)
-    and suffix tables beta[t](u) = E[lik(u + sum of neighbors >= t)].
+    Edge t needs m_c = sum_v pmf_{-t}(v) lik(v + c) for c in {0, 1}, where
+    pmf_{-t} is the count pmf of the other neighbors. A segment tree over
+    d' = 2**ceil(log2 d) leaves gives all d of them at once:
+
+    - Up pass: leaf t holds the pmf [1 - p_t, p_t], or [1, 0] for a padding
+      leaf. Each level convolves sibling pairs into their parent's count
+      pmf. The root's pmf is never needed, so the pass stops below it.
+    - Down pass: gamma_root = lik. For a parent with children A and B,
+      gamma_A(u) = sum_v pmf_B(v) gamma_parent(u + v), and symmetrically.
+      gamma_S(u) is then the expected likelihood given u lit pixels in
+      segment S, averaged over every neighbor outside S.
+
+    At leaf t, gamma_t(0) and gamma_t(1) are m_0 and m_1. Each level is one
+    einsum over sliding windows, with the batch axis innermost so the
+    einsum loops are long: O(d^2) work per check in O(log d) numpy calls,
+    with no division but the final m_1 / (m_0 + m_1). A check whose
+    likelihoods are all zero (N0 = 0 and no count fits) sends 0.5.
     """
     d = group.degree
-    b_total = len(group.meas_ids)
-    rows_per_chunk = max(1, chunk_cells // ((d + 1) * (d + 2)))
-    out = np.empty_like(group.p2m)
-    for lo in range(0, b_total, rows_per_chunk):
-        hi = min(b_total, lo + rows_per_chunk)
-        p = group.p2m[lo:hi]
-        lik = group.lik[lo:hi]
-        nb = hi - lo
-        # suffix tables, beta[d] = lik
-        betas = [None] * (d + 1)
-        betas[d] = lik
-        for t in range(d - 1, -1, -1):
-            nxt = betas[t + 1]
-            shifted = np.zeros_like(nxt)
-            shifted[:, :-1] = nxt[:, 1:]
-            pt = p[:, t : t + 1]
-            betas[t] = (1.0 - pt) * nxt + pt * shifted
-        # prefix pmf sweep
-        prefix = np.ones((nb, 1))
-        for t in range(d):
-            nxt = betas[t + 1]
-            m0 = np.einsum("bu,bu->b", prefix, nxt[:, : t + 1])
-            m1 = np.einsum("bu,bu->b", prefix, nxt[:, 1 : t + 2])
-            denom = m0 + m1
-            ok = denom > 0
-            out[lo:hi, t] = np.where(ok, np.divide(m1, denom, where=ok), 0.5)
-            if t < d - 1:
-                pt = p[:, t : t + 1]
-                grown = np.zeros((nb, t + 2))
-                grown[:, : t + 1] += prefix * (1.0 - pt)
-                grown[:, 1 : t + 2] += prefix * pt
-                prefix = grown
-    group.m2p = np.clip(out, MSG_FLOOR, 1.0 - MSG_FLOOR)
+    b = len(group.meas_ids)
+    levels = (d - 1).bit_length()
+    leaves = np.zeros((1 << levels, 2, b))
+    leaves[:, 0] = 1.0
+    leaves[:d, 0] = 1.0 - group.p2m.T
+    leaves[:d, 1] = group.p2m.T
+    pmfs = [leaves]  # level l: (d' / 2**l, 2**l + 1, B)
+    for _ in range(levels - 1):
+        pairs = pmfs[-1].reshape(-1, 2, *pmfs[-1].shape[1:])
+        s = pairs.shape[2] - 1
+        padded = np.zeros((len(pairs), 3 * s + 1, b))
+        padded[:, s : 2 * s + 1] = pairs[:, 0]
+        windows = sliding_window_view(padded, s + 1, axis=1)
+        pmfs.append(np.einsum("nkbj,njb->nkb", windows, pairs[:, 1, ::-1]))
+    gamma = group.lik[None]
+    # at d = 1 the root is the only leaf: no level to descend, gamma = lik
+    for pmf in reversed(pmfs[:levels]):
+        s1 = pmf.shape[1]
+        windows = sliding_window_view(gamma, s1, axis=1)
+        sibling = pmf.reshape(-1, 2, s1, b)[:, ::-1]
+        gamma = np.einsum("nubv,ncvb->ncub", windows, sibling).reshape(-1, s1, b)
+    m0, m1 = gamma[:d, 0], gamma[:d, 1]
+    denom = m0 + m1
+    msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
+    group.m2p = np.ascontiguousarray(np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR).T)
 
 
 def decode_sum_bp(
@@ -278,13 +294,12 @@ def decode_sum_bp(
         for g in groups:
             _check_update(g)
         # pixel pass: sum incoming logits once, subtract own edge per message
+        logits = [_logit(g.m2p) for g in groups]
         total = np.full(k, prior_logit)
-        for g in groups:
-            total += np.bincount(
-                g.px.ravel(), weights=_logit(g.m2p).ravel(), minlength=k
-            )
-        for g in groups:
-            outgoing = _sigmoid(total[g.px] - _logit(g.m2p))
+        for g, lg in zip(groups, logits):
+            total += np.bincount(g.px.ravel(), weights=lg.ravel(), minlength=k)
+        for g, lg in zip(groups, logits):
+            outgoing = _sigmoid(total[g.px] - lg)
             if opts.damping > 0:
                 outgoing = (1.0 - opts.damping) * outgoing + opts.damping * g.p2m
             g.p2m = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)

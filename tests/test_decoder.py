@@ -32,7 +32,13 @@ from codedgi import (
     symbol_llr,
     syndrome,
 )
-from codedgi.decoder import MSG_FLOOR, effective_amplitudes
+from codedgi.decoder import (
+    MSG_FLOOR,
+    _check_update,
+    _DegreeGroup,
+    _likelihood_table,
+    effective_amplitudes,
+)
 
 
 def exhaustive_marginals(m, ens, prior=0.5):
@@ -176,6 +182,47 @@ class TestSymbolLlr:
     def test_requires_noise(self):
         with pytest.raises(ValueError):
             symbol_llr(0.0, 1.0, ChannelParams(es=1.0, n0=0.0))
+
+
+def oracle_check_messages(p, r, amp, ch):
+    """Per-edge leave-one-out messages from count_pmf and measurement_likelihood."""
+    b, d = p.shape
+    out = np.empty((b, d))
+    for j in range(b):
+        lik = np.array([measurement_likelihood(r[j], c, amp[j], ch) for c in range(d + 1)])
+        for t in range(d):
+            pmf = count_pmf(np.delete(p[j], t))
+            m0, m1 = pmf @ lik[:d], pmf @ lik[1:]
+            out[j, t] = 0.5 if m0 + m1 == 0 else m1 / (m0 + m1)
+    return np.clip(out, MSG_FLOOR, 1.0 - MSG_FLOOR)
+
+
+class TestCheckUpdate:
+    @pytest.mark.parametrize("n0", [0.5, 0.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 33, 127, 128])
+    def test_matches_leave_one_out_oracle(self, d, n0):
+        rng = np.random.default_rng(1000 * d + int(n0 > 0))
+        b = 4
+        ch = ChannelParams(es=1.0, n0=n0, fading="rayleigh")
+        p = rng.random((b, d))
+        p.flat[0], p.flat[-1] = MSG_FLOOR, 1.0 - MSG_FLOOR
+        amp = rng.rayleigh(scale=math.sqrt(0.5), size=b)
+        counts = (rng.random((b, d)) < p).sum(axis=1).astype(np.float64)
+        if n0 == 0:
+            counts[1] += 0.5  # no count fits: every likelihood is zero
+        r = amp * math.sqrt(ch.es) * counts + rng.normal(0.0, math.sqrt(n0 / 2), b)
+        group = _DegreeGroup(d, np.arange(b), np.zeros((b, d), dtype=np.int64))
+        group.p2m = p
+        group.lik = _likelihood_table(r, amp, d, ch)
+        _check_update(group)
+        expect = oracle_check_messages(p, r, amp, ch)
+        if n0 == 0:
+            assert np.all(expect[1] == 0.5)
+
+        def llr(x):
+            return np.log(x) - np.log1p(-x)
+
+        np.testing.assert_allclose(llr(group.m2p), llr(expect), rtol=0, atol=1e-12)
 
 
 def tree_ensemble():
