@@ -26,6 +26,7 @@ from .forward import (
     sense,
     snr_db_to_linear,
     snr_linear_to_db,
+    transmit,
 )
 from .decoder import (
     BpOptions,

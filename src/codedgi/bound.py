@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import erfc, gammaln, xlog1py, xlogy
 
 from .codes import DegreeDistribution
+from .forward import ChannelParams
 
 ENERGY_RULES = ("error-plus-parity", "parity-only")
 
@@ -43,8 +44,8 @@ class BoundParams:
             raise ValueError("K must be >= 1")
         if self.n_total <= self.k_info:
             raise ValueError("N must exceed K")
-        if self.es <= 0 or self.n0 <= 0:
-            raise ValueError("Es and N0 must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.es, self.n0)):
+            raise ValueError(f"Es and N0 must be positive and finite, got {self.es}, {self.n0}")
         self.dist.validate_for_k(self.k_info)
 
     @property
@@ -140,20 +141,20 @@ def bound_sweep(
 ) -> list[dict]:
     """Evaluate the bound on an SNR grid; one row per point.
 
-    Row keys: snr_db, gamma, p_ray, p_e, p_b.
+    Row keys: snr_db, gamma, p_ray, p_e, p_b. N0 comes from
+    `ChannelParams.at_snr_db`, so p_b equals `ber_lower_bound` of the
+    channel a run at that SNR uses, bit for bit.
     """
     rows = []
     for snr_db in snr_db_list:
-        gamma = 10.0 ** (snr_db / 10.0)
-        params = BoundParams(
-            k_info=k_info, n_total=n_total, dist=dist, es=es, n0=es / gamma
-        )
-        p_ray = rayleigh_ber(gamma)
+        n0 = ChannelParams.at_snr_db(snr_db, es).n0
+        params = BoundParams(k_info=k_info, n_total=n_total, dist=dist, es=es, n0=n0)
+        p_ray = rayleigh_ber(params.gamma)
         p_e = decoding_error_term(params)
         rows.append(
             {
                 "snr_db": float(snr_db),
-                "gamma": gamma,
+                "gamma": params.gamma,
                 "p_ray": p_ray,
                 "p_e": p_e,
                 "p_b": p_ray + p_e,

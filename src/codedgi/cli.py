@@ -66,18 +66,12 @@ def _cmd_encode(args) -> int:
     return 0
 
 
-def _make_channel(args) -> ChannelParams:
-    n0 = args.es / (10.0 ** (args.snr_db / 10.0))
-    return ChannelParams(
-        es=args.es, n0=n0, fading=args.fading, csi_known=not args.no_csi
-    )
-
-
 def _cmd_sense(args) -> int:
     g = load_generator(args.code)
     ens = patterns_from_generator(g)
     scene = _scene_from_pgm(args.scene)
-    meas = sense(ens, scene, _make_channel(args), args.seed)
+    ch = ChannelParams.at_snr_db(args.snr_db, args.es, args.fading, not args.no_csi)
+    meas = sense(ens, scene, ch, args.seed)
     save_measurement_csv(meas, args.out)
     print(f"wrote {args.out} ({meas.n_shots} shots)")
     return 0

@@ -6,6 +6,10 @@ and adds real Gaussian noise of variance N0/2:
 
     R_n = |h_n| * sqrt(Es) * sum_{i in pattern_n} delta_i + w_n
 
+`sense` is `pattern_sums` followed by `transmit`, the channel; the GF(2)
+path sends codeword bits through the same `transmit`.
+`ChannelParams.at_snr_db` turns an SNR in dB into a channel.
+
 Fading magnitudes are Rayleigh with unit second moment (the magnitude of a
 circularly-symmetric unit-variance complex Gaussian); with fading off they
 are all ones.
@@ -93,12 +97,25 @@ class ChannelParams:
     csi_known: bool = True
 
     def __post_init__(self):
-        if self.es <= 0:
-            raise ValueError("Es must be positive")
-        if self.n0 < 0:
-            raise ValueError("N0 must be non-negative")
+        if not (math.isfinite(self.es) and self.es > 0):
+            raise ValueError(f"Es must be positive and finite, got {self.es}")
+        if not (math.isfinite(self.n0) and self.n0 >= 0):
+            raise ValueError(f"N0 must be non-negative and finite, got {self.n0}")
         if self.fading not in FADING_MODES:
             raise ValueError(f"fading must be one of {FADING_MODES}")
+
+    @classmethod
+    def at_snr_db(
+        cls, snr_db: float, es: float = 1.0, fading: str = "none", csi_known: bool = True
+    ) -> "ChannelParams":
+        """The channel whose Es/N0 is `snr_db` decibels."""
+        if not math.isfinite(snr_db):
+            raise ValueError(f"SNR must be finite, got {snr_db} dB")
+        try:
+            n0 = es / snr_db_to_linear(snr_db)
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"SNR {snr_db} dB is out of the float range") from None
+        return cls(es=es, n0=n0, fading=fading, csi_known=csi_known)
 
     @property
     def gamma(self) -> float:
@@ -165,18 +182,13 @@ def pattern_sums(ens: IlluminationEnsemble, scene: SceneImage) -> np.ndarray:
     return np.array([refl[pat].sum() for pat in ens.patterns], dtype=np.float64)
 
 
-def sense(
-    ens: IlluminationEnsemble,
-    scene: SceneImage,
-    ch: ChannelParams,
-    seed: int,
-) -> Measurement:
-    """Synthesize one bucket-signal acquisition through the fading channel.
+def transmit(sums, ch: ChannelParams, seed: int) -> Measurement:
+    """Send noise-free per-shot sums (pattern sums or code bits) through the channel.
 
     Draw order is fixed (fading first, then noise) so a seed reproduces the
     measurement exactly.
     """
-    sums = pattern_sums(ens, scene)
+    sums = np.asarray(sums, dtype=np.float64)
     n = len(sums)
     rng = np.random.default_rng(seed)
     if ch.fading == "rayleigh":
@@ -188,6 +200,16 @@ def sense(
     if ch.n0 > 0:
         bucket = bucket + rng.normal(0.0, math.sqrt(ch.n0 / 2.0), size=n)
     return Measurement(bucket=bucket, fading_mag=h, channel=ch, seed=seed)
+
+
+def sense(
+    ens: IlluminationEnsemble,
+    scene: SceneImage,
+    ch: ChannelParams,
+    seed: int,
+) -> Measurement:
+    """Synthesize one bucket-signal acquisition through the fading channel."""
+    return transmit(pattern_sums(ens, scene), ch, seed)
 
 
 RAYLEIGH_MEAN_MAG = math.sqrt(math.pi) / 2.0  # mean |h| at unit second moment

@@ -1,4 +1,12 @@
-"""Experiment orchestration: configs, seed derivation, sweeps, manifests.
+"""Experiment orchestration: configs, seed derivation, one pipeline, manifests.
+
+All four experiments run through `run_experiment`: the experiment's points,
+each an (snr_db, n_total) pair, times its trials give the jobs, in
+point-major order. `_map_jobs` hands every job to the one trial worker,
+`_trial`, which builds a fresh code, sends it through the channel and
+decodes it (for compare it also runs the baselines on their own
+acquisition). A per-experiment writer then formats the per-trial results as
+CSVs and PGMs.
 
 Every run directory receives a manifest whose [config] section replays the
 run bit-identically (CSV and PGM bytes) via `replay`. Randomness flows only
@@ -12,13 +20,13 @@ import concurrent.futures
 import datetime
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
 from .baselines import binarize, cgi_reconstruct, dgi_reconstruct, pinv_reconstruct
-from .bound import BoundParams, ber_lower_bound
+from .bound import bound_sweep
 from .codes import (
     CodeSpec,
     DegreeDistribution,
@@ -28,14 +36,13 @@ from .codes import (
 )
 from .decoder import BpOptions, decode_gf2_bp, decode_sum_bp, symbol_llr
 from .forward import (
-    RAYLEIGH_MEAN_MAG,
     ChannelParams,
-    IlluminationEnsemble,
-    Measurement,
     SceneImage,
+    effective_amplitudes,
     patterns_from_generator,
     random_speckle,
     sense,
+    transmit,
 )
 from .metrics import FrameStack, GrayImage, ber, grayscale_stack, mean_abs_error, normalize, psnr
 from .pgmio import read_pgm, write_pgm
@@ -152,7 +159,8 @@ class RunConfig:
                 raise ValueError("gray_bits must be >= 1")
             self.degree_distribution().validate_for_k(self.k_pixels)
             self.bp_options()
-            ChannelParams(es=self.es, n0=1.0, fading=self.fading, csi_known=self.csi_known)
+            for snr_db in (self.snr_db, *self.snr_db_list):
+                ChannelParams.at_snr_db(snr_db, self.es, self.fading, self.csi_known)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -297,33 +305,31 @@ def replay(manifest_path, out_dir: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# trial pipelines
+# the experiment pipeline
 # ---------------------------------------------------------------------------
 
 
-def _channel(cfg: RunConfig, snr_db: float) -> ChannelParams:
-    n0 = cfg.es / (10.0 ** (snr_db / 10.0))
-    return ChannelParams(es=cfg.es, n0=n0, fading=cfg.fading, csi_known=cfg.csi_known)
+def _points(cfg: RunConfig) -> list[tuple[float, int]]:
+    """The experiment's sweep points, each an (snr_db, n_total) pair."""
+    k = cfg.k_pixels
+    if cfg.experiment == "sweep-ber":
+        return [(snr_db, cfg.sampling * k) for snr_db in cfg.snr_db_list]
+    if cfg.experiment == "sweep-sampling":
+        return [(cfg.snr_db, m * k) for m in cfg.multipliers]
+    return [(cfg.snr_db, cfg.sampling * k)]
 
 
-def _transmit_bits(bits: np.ndarray, ch: ChannelParams, seed: int):
-    """Per-symbol on-off transmission of a codeword (binary-symbol view)."""
-    rng = np.random.default_rng(seed)
-    n = len(bits)
-    if ch.fading == "rayleigh":
-        h = rng.rayleigh(scale=math.sqrt(0.5), size=n)
-    else:
-        h = np.ones(n)
-    r = h * math.sqrt(ch.es) * bits.astype(np.float64)
-    if ch.n0 > 0:
-        r = r + rng.normal(0.0, math.sqrt(ch.n0 / 2.0), size=n)
-    return r, h
+def _trial(args):
+    """One fresh-code acquisition and decode; for compare, also the baselines.
 
-
-def _coded_decode_trial(
-    cfg: RunConfig, scene: SceneImage, n_total: int, ch: ChannelParams, seed: int
-):
-    """One fresh-code acquisition and decode; returns (bits, diagnostics)."""
+    Returns the decode diagnostics and {method: (ber, image)}, where the image
+    is the decoded bits for "ldpc" and the analog reconstruction for a
+    baseline.
+    """
+    cfg, scene, point, trial, snr_db, n_total = args
+    seed = derive_trial_seed(cfg.seed, trial, point)
+    ch = ChannelParams.at_snr_db(snr_db, cfg.es, cfg.fading, cfg.csi_known)
+    truth = np.rint(scene.reflectance).astype(np.uint8)
     spec = CodeSpec(
         k_info=cfg.k_pixels,
         n_total=n_total,
@@ -333,38 +339,26 @@ def _coded_decode_trial(
     g = build_generator(spec)
     opts = cfg.bp_options()
     if cfg.decoder_mode == "gf2":
-        truth_bits = np.rint(scene.reflectance).astype(np.uint8)
-        codeword = encode(g, truth_bits)
-        r, h = _transmit_bits(codeword, ch, _substream(seed, _SUB_SENSE))
-        mean = RAYLEIGH_MEAN_MAG if ch.fading == "rayleigh" else 1.0
-        amp = h if ch.csi_known else np.full_like(h, mean)
-        llrs = symbol_llr(r, amp, ch)
+        meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
+        llrs = symbol_llr(meas.bucket, effective_amplitudes(meas), ch)
         result = decode_gf2_bp(llrs, derive_parity_check(g), opts)
     else:
         ens = patterns_from_generator(g)
         meas = sense(ens, scene, ch, _substream(seed, _SUB_SENSE))
         result = decode_sum_bp(meas, ens, opts)
-    return result.pixels, result.diagnostics
-
-
-def _ber_point_trial(args):
-    cfg, scene, snr_db, point, trial = args
-    seed = derive_trial_seed(cfg.seed, trial, point)
-    ch = _channel(cfg, snr_db)
-    truth = np.rint(scene.reflectance).astype(np.uint8)
-    pixels, diag = _coded_decode_trial(cfg, scene, cfg.sampling * cfg.k_pixels, ch, seed)
-    return point, trial, ber(truth, pixels), diag
-
-
-# ---------------------------------------------------------------------------
-# experiments
-# ---------------------------------------------------------------------------
-
-
-def _prepare_run_dir(cfg: RunConfig) -> str:
-    run_dir = os.path.join(cfg.out, cfg.experiment)
-    os.makedirs(run_dir, exist_ok=True)
-    return run_dir
+    methods = {"ldpc": (ber(truth, result.pixels), result.pixels)}
+    if cfg.experiment == "compare":
+        if cfg.baseline_on_coded:
+            base_ens = patterns_from_generator(g)
+        else:
+            base_ens = random_speckle(
+                cfg.k_pixels, n_total, cfg.speckle_duty, _substream(seed, _SUB_SPECKLE)
+            )
+        base_meas = sense(base_ens, scene, ch, _substream(seed, _SUB_BASELINE))
+        for name, fn in (("cgi", cgi_reconstruct), ("dgi", dgi_reconstruct), ("pinv", pinv_reconstruct)):
+            recon = fn(base_ens, base_meas)
+            methods[name] = (ber(truth, binarize(recon)), recon.image)
+    return result.diagnostics, methods
 
 
 def _map_jobs(jobs, worker, threads: int):
@@ -375,38 +369,51 @@ def _map_jobs(jobs, worker, threads: int):
         return list(pool.map(worker, jobs, chunksize=1))
 
 
+def run_experiment(cfg: RunConfig) -> str:
+    """Run every trial of every point of the configured experiment; return the run directory."""
+    cfg.validate()
+    scene = load_scene(cfg)
+    if cfg.experiment != "grayscale":
+        scene.require_binary()
+    run_dir = os.path.join(cfg.out, cfg.experiment)
+    os.makedirs(run_dir, exist_ok=True)
+
+    points = _points(cfg)
+    trials = 2**cfg.gray_bits if cfg.experiment == "grayscale" else cfg.trials
+    jobs = [
+        (cfg, scene, p, t, snr_db, n_total)
+        for p, (snr_db, n_total) in enumerate(points)
+        for t in range(trials)
+    ]
+    results = _map_jobs(jobs, _trial, cfg.threads)
+    by_point = [results[p * trials : (p + 1) * trials] for p in range(len(points))]
+
+    label, writer = _OUTPUTS[cfg.experiment]
+    seeds = {
+        label.format(p=p, t=t): derive_trial_seed(cfg.seed, t, p)
+        for p in range(len(points))
+        for t in range(trials)
+    }
+    write_manifest(run_dir, cfg, seeds)
+    writer(cfg, scene, run_dir, by_point)
+    return run_dir
+
+
+# ---------------------------------------------------------------------------
+# writers: by_point[p][t] is the (diagnostics, methods) result of one trial
+# ---------------------------------------------------------------------------
+
+
 def _stderr(values: np.ndarray) -> float:
     if len(values) < 2:
         return 0.0
     return float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
-def run_ber_sweep(cfg: RunConfig) -> str:
+def _write_ber_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """BER vs SNR with the analytic lower bound alongside."""
-    cfg.validate()
-    scene = load_scene(cfg)
-    scene.require_binary()
-    run_dir = _prepare_run_dir(cfg)
     n_total = cfg.sampling * cfg.k_pixels
-    dist = cfg.degree_distribution()
-
-    jobs = [
-        (cfg, scene, snr_db, p, t)
-        for p, snr_db in enumerate(cfg.snr_db_list)
-        for t in range(cfg.trials)
-    ]
-    results = _map_jobs(jobs, _ber_point_trial, cfg.threads)
-    by_point: dict[int, dict[int, tuple]] = {}
-    for point, trial, trial_ber, diag in results:
-        by_point.setdefault(point, {})[trial] = (trial_ber, diag)
-
-    seeds = {
-        f"point{p}_trial{t}": derive_trial_seed(cfg.seed, t, p)
-        for p in range(len(cfg.snr_db_list))
-        for t in range(cfg.trials)
-    }
-    write_manifest(run_dir, cfg, seeds)
-
+    bounds = bound_sweep(cfg.k_pixels, n_total, cfg.degree_distribution(), cfg.snr_db_list, cfg.es)
     csv_path = os.path.join(run_dir, "ber_sweep.csv")
     diag_path = os.path.join(run_dir, "decode_diagnostics.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh, open(
@@ -416,179 +423,55 @@ def run_ber_sweep(cfg: RunConfig) -> str:
         fh.write("snr_db,ber_mean,ber_stderr,bound,trials\n")
         dfh.write("# schema: codedgi.decode-diag.v1\n")
         dfh.write("point,trial,iterations_run,converged,residual,unpinned_pixel_count\n")
-        for p, snr_db in enumerate(cfg.snr_db_list):
-            gamma = 10.0 ** (snr_db / 10.0)
-            bound = ber_lower_bound(
-                BoundParams(
-                    k_info=cfg.k_pixels,
-                    n_total=n_total,
-                    dist=dist,
-                    es=cfg.es,
-                    n0=cfg.es / gamma,
-                )
-            )
-            bers = np.array([by_point[p][t][0] for t in range(cfg.trials)])
+        for p, (snr_db, row) in enumerate(zip(cfg.snr_db_list, bounds)):
+            bers = np.array([methods["ldpc"][0] for _, methods in by_point[p]])
             fh.write(
-                f"{snr_db:g},{float(bers.mean())!r},{_stderr(bers)!r},{bound!r},{cfg.trials}\n"
+                f"{snr_db:g},{float(bers.mean())!r},{_stderr(bers)!r},{row['p_b']!r},{cfg.trials}\n"
             )
-            for t in range(cfg.trials):
-                dfh.write(f"{p},{t},{by_point[p][t][1].csv_row()}\n")
-    return run_dir
+            for t, (diag, _) in enumerate(by_point[p]):
+                dfh.write(f"{p},{t},{diag.csv_row()}\n")
 
 
-def _sampling_trial(args):
-    cfg, scene, point, trial, multiplier = args
-    seed = derive_trial_seed(cfg.seed, trial, point)
-    ch = _channel(cfg, cfg.snr_db)
-    truth = np.rint(scene.reflectance).astype(np.uint8)
-    pixels, _ = _coded_decode_trial(cfg, scene, multiplier * cfg.k_pixels, ch, seed)
-    truth_img = normalize(truth.astype(np.float64), cfg.width, cfg.height)
-    recon_img = normalize(pixels.astype(np.float64), cfg.width, cfg.height)
-    return point, trial, ber(truth, pixels), psnr(truth_img, recon_img), pixels
-
-
-def run_sampling_sweep(cfg: RunConfig) -> str:
+def _write_sampling_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Reconstruction quality vs sampling multiplier at fixed SNR."""
-    cfg.validate()
-    scene = load_scene(cfg)
-    scene.require_binary()
-    run_dir = _prepare_run_dir(cfg)
-
-    jobs = [
-        (cfg, scene, p, t, m)
-        for p, m in enumerate(cfg.multipliers)
-        for t in range(cfg.trials)
-    ]
-    results = _map_jobs(jobs, _sampling_trial, cfg.threads)
-    by_point: dict[int, dict[int, tuple]] = {}
-    for point, trial, trial_ber, trial_psnr, pixels in results:
-        by_point.setdefault(point, {})[trial] = (trial_ber, trial_psnr, pixels)
-
-    seeds = {
-        f"point{p}_trial{t}": derive_trial_seed(cfg.seed, t, p)
-        for p in range(len(cfg.multipliers))
-        for t in range(cfg.trials)
-    }
-    write_manifest(run_dir, cfg, seeds)
-
-    csv_path = os.path.join(run_dir, "sampling_sweep.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    truth_img = normalize(np.rint(scene.reflectance), cfg.width, cfg.height)
+    with open(os.path.join(run_dir, "sampling_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.sampling-sweep.v1\n")
         fh.write("multiplier,n_total,snr_db,ber_mean,ber_stderr,psnr_mean,trials\n")
-        for p, m in enumerate(cfg.multipliers):
-            bers = np.array([by_point[p][t][0] for t in range(cfg.trials)])
-            psnrs = np.array([by_point[p][t][1] for t in range(cfg.trials)])
+        for m, trials in zip(cfg.multipliers, by_point):
+            decoded = [methods["ldpc"] for _, methods in trials]
+            bers = np.array([b for b, _ in decoded])
+            psnrs = np.array(
+                [psnr(truth_img, normalize(pixels, cfg.width, cfg.height)) for _, pixels in decoded]
+            )
             fh.write(
                 f"{m},{m * cfg.k_pixels},{cfg.snr_db:g},"
                 f"{float(bers.mean())!r},{_stderr(bers)!r},{float(psnrs.mean())!r},{cfg.trials}\n"
             )
-            pixels = by_point[p][0][2]
-            write_pgm(
-                os.path.join(run_dir, f"ldpc_snr{cfg.snr_db:g}_s{m}_t0.pgm"),
-                cfg.width,
-                cfg.height,
-                pixels.astype(np.float64),
-            )
-    return run_dir
+            name = f"ldpc_snr{cfg.snr_db:g}_s{m}_t0.pgm"
+            write_pgm(os.path.join(run_dir, name), cfg.width, cfg.height, decoded[0][1])
 
 
-def _compare_trial(args):
-    cfg, scene, trial = args
-    seed = derive_trial_seed(cfg.seed, trial, 0)
-    ch = _channel(cfg, cfg.snr_db)
-    truth = np.rint(scene.reflectance).astype(np.uint8)
-    n_total = cfg.sampling * cfg.k_pixels
-
-    coded_pixels, _ = _coded_decode_trial(cfg, scene, n_total, ch, seed)
-
-    if cfg.baseline_on_coded:
-        spec = CodeSpec(
-            k_info=cfg.k_pixels,
-            n_total=n_total,
-            dist=cfg.degree_distribution(),
-            seed=_substream(seed, _SUB_CODE),
-        )
-        base_ens = patterns_from_generator(build_generator(spec))
-    else:
-        base_ens = random_speckle(
-            cfg.k_pixels, n_total, cfg.speckle_duty, _substream(seed, _SUB_SPECKLE)
-        )
-    base_meas = sense(base_ens, scene, ch, _substream(seed, _SUB_BASELINE))
-
-    truth_img = normalize(truth.astype(np.float64), cfg.width, cfg.height)
-    out = {}
-    out["ldpc"] = (
-        ber(truth, coded_pixels),
-        psnr(truth_img, normalize(coded_pixels.astype(np.float64), cfg.width, cfg.height)),
-        coded_pixels.astype(np.float64),
-    )
-    for name, fn in (("cgi", cgi_reconstruct), ("dgi", dgi_reconstruct), ("pinv", pinv_reconstruct)):
-        recon = fn(base_ens, base_meas)
-        bits = binarize(recon)
-        out[name] = (
-            ber(truth, bits),
-            psnr(truth_img, normalize(recon.image, cfg.width, cfg.height)),
-            recon.image,
-        )
-    return trial, out
-
-
-def run_baseline_compare(cfg: RunConfig) -> str:
+def _write_compare(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Coded decode vs CGI/DGI/PINV on matched measurement budgets."""
-    cfg.validate()
-    scene = load_scene(cfg)
-    scene.require_binary()
-    run_dir = _prepare_run_dir(cfg)
-
-    jobs = [(cfg, scene, t) for t in range(cfg.trials)]
-    results = _map_jobs(jobs, _compare_trial, cfg.threads)
-    by_trial = dict(results)
-
-    seeds = {f"trial{t}": derive_trial_seed(cfg.seed, t, 0) for t in range(cfg.trials)}
-    write_manifest(run_dir, cfg, seeds)
-
-    csv_path = os.path.join(run_dir, "compare.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    truth_img = normalize(np.rint(scene.reflectance), cfg.width, cfg.height)
+    with open(os.path.join(run_dir, "compare.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.compare.v1\n")
         fh.write("method,trial,ber,psnr\n")
         for method in ("ldpc", "cgi", "dgi", "pinv"):
-            for t in range(cfg.trials):
-                b, p, _ = by_trial[t][method]
-                fh.write(f"{method},{t},{b!r},{p!r}\n")
-    for method in ("ldpc", "cgi", "dgi", "pinv"):
-        image = by_trial[0][method][2]
-        img = normalize(image, cfg.width, cfg.height)
-        write_pgm(
-            os.path.join(run_dir, f"{method}_snr{cfg.snr_db:g}_s{cfg.sampling}_t0.pgm"),
-            cfg.width,
-            cfg.height,
-            img.values,
-        )
-    return run_dir
+            for t, (_, methods) in enumerate(by_point[0]):
+                b, image = methods[method]
+                img = normalize(image, cfg.width, cfg.height)
+                fh.write(f"{method},{t},{b!r},{psnr(truth_img, img)!r}\n")
+                if t == 0:
+                    name = f"{method}_snr{cfg.snr_db:g}_s{cfg.sampling}_t0.pgm"
+                    write_pgm(os.path.join(run_dir, name), cfg.width, cfg.height, img.values)
 
 
-def _gray_frame_trial(args):
-    cfg, scene, frame = args
-    seed = derive_trial_seed(cfg.seed, frame, 0)
-    ch = _channel(cfg, cfg.snr_db)
-    pixels, _ = _coded_decode_trial(cfg, scene, cfg.sampling * cfg.k_pixels, ch, seed)
-    return frame, pixels
-
-
-def run_grayscale(cfg: RunConfig) -> str:
+def _write_grayscale(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Average 2^bits independent binary decodes into a gray image."""
-    cfg.validate()
-    scene = load_scene(cfg)
-    run_dir = _prepare_run_dir(cfg)
-    count = 2**cfg.gray_bits
-
-    jobs = [(cfg, scene, f) for f in range(count)]
-    results = _map_jobs(jobs, _gray_frame_trial, cfg.threads)
-    frames = [pixels for _, pixels in sorted(results)]
-
-    seeds = {f"frame{f}": derive_trial_seed(cfg.seed, f, 0) for f in range(count)}
-    write_manifest(run_dir, cfg, seeds)
-
+    frames = [methods["ldpc"][1] for _, methods in by_point[0]]
+    count = len(frames)
     truth = GrayImage(cfg.width, cfg.height, scene.reflectance)
     csv_path = os.path.join(run_dir, "grayscale.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -608,15 +491,12 @@ def run_grayscale(cfg: RunConfig) -> str:
         final.values,
     )
     write_pgm(os.path.join(run_dir, "gray_truth.pgm"), cfg.width, cfg.height, truth.values)
-    return run_dir
 
 
-def run_experiment(cfg: RunConfig) -> str:
-    cfg.validate()
-    runner = {
-        "sweep-ber": run_ber_sweep,
-        "sweep-sampling": run_sampling_sweep,
-        "compare": run_baseline_compare,
-        "grayscale": run_grayscale,
-    }[cfg.experiment]
-    return runner(cfg)
+# experiment -> (manifest seed label, writer)
+_OUTPUTS = {
+    "sweep-ber": ("point{p}_trial{t}", _write_ber_sweep),
+    "sweep-sampling": ("point{p}_trial{t}", _write_sampling_sweep),
+    "compare": ("trial{t}", _write_compare),
+    "grayscale": ("frame{t}", _write_grayscale),
+}

@@ -46,9 +46,7 @@ from codedgi.harness import (
     RunConfig,
     derive_trial_seed,
     replay,
-    run_baseline_compare,
-    run_ber_sweep,
-    run_sampling_sweep,
+    run_experiment,
     _substream,
     _SUB_CODE,
     _SUB_SENSE,
@@ -86,7 +84,7 @@ def test_criterion_1_bound_consistency(tmp_path):
         out=str(tmp_path / "c1"),
     )
     start = time.monotonic()
-    run_dir = run_ber_sweep(cfg)
+    run_dir = run_experiment(cfg)
     elapsed = time.monotonic() - start
     rows = read_csv_rows(os.path.join(run_dir, "ber_sweep.csv"))
     ok = len(rows) == 8
@@ -303,7 +301,7 @@ def test_criterion_7_baseline_dominance(tmp_path):
         seed=424242,
         out=str(tmp_path / "c7"),
     )
-    run_dir = run_baseline_compare(cfg)
+    run_dir = run_experiment(cfg)
     rows = read_csv_rows(os.path.join(run_dir, "compare.csv"))
     medians = {}
     for method in ("ldpc", "cgi", "dgi", "pinv"):
@@ -335,7 +333,7 @@ def test_criterion_8_sampling_trend(tmp_path):
         seed=88,
         out=str(tmp_path / "c8"),
     )
-    run_dir = run_sampling_sweep(cfg)
+    run_dir = run_experiment(cfg)
     rows = read_csv_rows(os.path.join(run_dir, "sampling_sweep.csv"))
     means = [float(r["ber_mean"]) for r in rows]
     errs = [float(r["ber_stderr"]) for r in rows]
@@ -361,7 +359,7 @@ def test_criterion_8_sampling_trend(tmp_path):
         out=str(tmp_path / "c8hi"),
     )
     hi_rows = read_csv_rows(
-        os.path.join(run_sampling_sweep(cfg_hi), "sampling_sweep.csv")
+        os.path.join(run_experiment(cfg_hi), "sampling_sweep.csv")
     )
     ok = ok and float(hi_rows[0]["ber_mean"]) == 0.0
     assert report("8", "BER non-increasing in sampling rate; zero at 32x high SNR", ok)
@@ -422,7 +420,7 @@ def test_criterion_10_reproducibility(tmp_path):
         seed=1234,
         out=str(tmp_path / "first"),
     )
-    first = run_baseline_compare(cfg)
+    first = run_experiment(cfg)
     second = replay(os.path.join(first, "manifest.txt"), str(tmp_path / "second"))
     ok = _artifact_bytes(first) == _artifact_bytes(second)
 
@@ -437,7 +435,7 @@ def test_criterion_10_reproducibility(tmp_path):
         seed=77,
         out=str(tmp_path / "s1"),
     )
-    d1 = run_ber_sweep(sweep)
+    d1 = run_experiment(sweep)
     d2 = replay(os.path.join(d1, "manifest.txt"), str(tmp_path / "s2"))
     ok = ok and _artifact_bytes(d1) == _artifact_bytes(d2)
     assert report("10", "manifest replay regenerates byte-identical artifacts", ok)

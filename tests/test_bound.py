@@ -107,6 +107,13 @@ def params(k=256, n=512, degree=8, es=1.0, n0=1.0):
     )
 
 
+def test_params_reject_non_positive_or_non_finite_channel():
+    for es, n0 in ((0.0, 1.0), (1.0, 0.0), (math.nan, 1.0), (math.inf, 1.0),
+                   (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            params(es=es, n0=n0)
+
+
 class TestPairwiseError:
     def test_vanishes_at_high_snr(self):
         assert pairwise_error(0, params(n0=1e-12)) < 1e-30

@@ -90,3 +90,12 @@ def test_invalid_cli_value_exit_code(tmp_path, capsys):
     # degree larger than K is a config error, exit 2
     assert main(["gen-code", "--k", "4", "--n", "8", "--dist", "9",
                  "--out", str(tmp_path / "c.txt")]) == 2
+
+
+def test_non_finite_snr_exit_code(tmp_path, glyph_pgm, capsys):
+    code = str(tmp_path / "code.txt")
+    assert main(["gen-code", "--k", "64", "--n", "128", "--dist", "4", "--out", code]) == 0
+    assert main(["sense", "--code", code, "--scene", glyph_pgm, "--snr-db", "nan",
+                 "--out", str(tmp_path / "m.csv")]) == 2
+    assert main(["bound", "--k", "64", "--n", "128", "--snr-db", "nan"]) == 2
+    assert "config error" in capsys.readouterr().err

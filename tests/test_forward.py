@@ -24,6 +24,7 @@ from codedgi.forward import (
     load_measurement_csv,
     pattern_sums,
     save_measurement_csv,
+    transmit,
 )
 
 
@@ -138,6 +139,15 @@ class TestSense:
         ).bucket
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
+    def test_transmit_is_sense_through_singleton_patterns(self):
+        bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        ens = IlluminationEnsemble(8, [np.array([i]) for i in range(8)], source="coded")
+        ch = ChannelParams(es=2.0, n0=0.3, fading="rayleigh")
+        sent = transmit(bits, ch, seed=9)
+        sensed = sense(ens, flat_scene(bits), ch, seed=9)
+        assert np.array_equal(sent.bucket, sensed.bucket)
+        assert np.array_equal(sent.fading_mag, sensed.fading_mag)
+
     def test_pixel_count_mismatch(self):
         ens = random_speckle(8, 4, 0.5, seed=0)
         with pytest.raises(ValueError):
@@ -161,6 +171,25 @@ class TestChannelParams:
             ChannelParams(n0=-1.0)
         with pytest.raises(ValueError):
             ChannelParams(fading="rician")
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                ChannelParams(es=bad)
+            with pytest.raises(ValueError):
+                ChannelParams(n0=bad)
+        assert ChannelParams(n0=0.0).n0 == 0.0
+
+    def test_at_snr_db(self):
+        for snr_db in (-3.0, 0.0, 5.0, 8.5, 14.0):
+            ch = ChannelParams.at_snr_db(snr_db, 2.0, "rayleigh", False)
+            assert ch == ChannelParams(
+                es=2.0, n0=2.0 / snr_db_to_linear(snr_db), fading="rayleigh", csi_known=False
+            )
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ChannelParams.at_snr_db(bad)
+        for bad in (4000.0, -4000.0):
+            with pytest.raises(ValueError, match="range"):
+                ChannelParams.at_snr_db(bad)
 
     def test_effective_amplitudes(self):
         ens = IlluminationEnsemble(1, [np.array([0])] * 4, source="speckle")

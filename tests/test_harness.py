@@ -16,11 +16,7 @@ from codedgi.harness import (
     parse_distribution,
     read_manifest_config,
     replay,
-    run_baseline_compare,
-    run_ber_sweep,
     run_experiment,
-    run_grayscale,
-    run_sampling_sweep,
 )
 
 
@@ -90,6 +86,12 @@ class TestConfigParsing:
         assert cfg.csi_known is True
         assert cfg.multipliers == (1, 2, 4)
 
+    def test_non_finite_snr_rejected(self):
+        for text in ("snr_db_list = 0,nan\n", "snr_db_list = inf\n", "snr_db = nan\n",
+                     "snr_db = -inf\n", "snr_db = 4000\n", "es = nan\n", "es = inf\n"):
+            with pytest.raises(ConfigError):
+                parse_config_text(text)
+
     def test_validation_failures(self):
         with pytest.raises(ConfigError):
             parse_config_text("experiment = teleport\n")
@@ -123,7 +125,7 @@ class TestConfigParsing:
 class TestBerSweep:
     def test_artifacts_and_schema(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "run"))
-        run_dir = run_ber_sweep(cfg)
+        run_dir = run_experiment(cfg)
         csv = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
         assert csv[0] == "# schema: codedgi.ber-sweep.v1"
         assert csv[1] == "snr_db,ber_mean,ber_stderr,bound,trials"
@@ -137,40 +139,46 @@ class TestBerSweep:
         assert os.path.exists(os.path.join(run_dir, "manifest.txt"))
 
     def test_threads_do_not_change_bytes(self, tmp_path):
-        cfg1 = tiny_cfg(out=str(tmp_path / "a"), threads=1)
-        cfg2 = tiny_cfg(out=str(tmp_path / "b"), threads=2)
-        d1, d2 = run_ber_sweep(cfg1), run_ber_sweep(cfg2)
-        b1 = open(os.path.join(d1, "ber_sweep.csv"), "rb").read()
-        b2 = open(os.path.join(d2, "ber_sweep.csv"), "rb").read()
-        assert b1 == b2
+        for experiment in ("sweep-ber", "sweep-sampling", "compare", "grayscale"):
+            scene = "radial" if experiment == "grayscale" else "glyphs"
+            cfg1 = tiny_cfg(experiment=experiment, scene=scene, out=str(tmp_path / "a"), threads=1)
+            cfg2 = replace(cfg1, out=str(tmp_path / "b"), threads=2)
+            d1, d2 = run_experiment(cfg1), run_experiment(cfg2)
+            assert _tree_bytes(d1) == _tree_bytes(d2), experiment
 
     def test_bound_column_matches_bound_module_exactly(self, tmp_path):
-        from codedgi import BoundParams, DegreeDistribution, ber_lower_bound
+        from codedgi import BoundParams, ChannelParams, DegreeDistribution, ber_lower_bound
+        from codedgi.bound import bound_sweep
 
-        cfg = tiny_cfg(out=str(tmp_path / "bc"))
-        run_dir = run_ber_sweep(cfg)
+        # at 5.0 and 8.5 dB, es / (es / gamma) rounds away from gamma, so a
+        # bound with an SNR path of its own differs in the last digit there
+        cfg = tiny_cfg(out=str(tmp_path / "bc"), snr_db_list=(5.0, 6.0, 8.5, 12.0))
+        run_dir = run_experiment(cfg)
         lines = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
-        for line, snr_db in zip(lines[2:], cfg.snr_db_list):
+        dist = DegreeDistribution.regular(4)
+        rows = bound_sweep(64, 128, dist, cfg.snr_db_list)
+        assert len(lines[2:]) == len(rows) == 4
+        for line, snr_db, row in zip(lines[2:], cfg.snr_db_list, rows):
             expect = ber_lower_bound(
                 BoundParams(
-                    k_info=64, n_total=128, dist=DegreeDistribution.regular(4),
-                    es=1.0, n0=10 ** (-snr_db / 10),
+                    k_info=64, n_total=128, dist=dist,
+                    es=1.0, n0=ChannelParams.at_snr_db(snr_db).n0,
                 )
             )
-            assert line.split(",")[3] == repr(expect)
+            assert line.split(",")[3] == repr(row["p_b"]) == repr(expect)
 
     def test_default_trials_per_point(self):
         assert RunConfig().trials == 10
 
     def test_gf2_mode_runs(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "g"), decoder_mode="gf2")
-        run_dir = run_ber_sweep(cfg)
+        run_dir = run_experiment(cfg)
         assert os.path.exists(os.path.join(run_dir, "ber_sweep.csv"))
 
     def test_grayscale_scene_rejected_for_ber(self, tmp_path):
         cfg = tiny_cfg(scene="radial", out=str(tmp_path / "r"))
         with pytest.raises(ValueError, match="binary"):
-            run_ber_sweep(cfg)
+            run_experiment(cfg)
 
 
 class TestOtherExperiments:
@@ -178,7 +186,7 @@ class TestOtherExperiments:
         cfg = tiny_cfg(
             experiment="sweep-sampling", out=str(tmp_path / "s"), multipliers=(1, 2)
         )
-        run_dir = run_sampling_sweep(cfg)
+        run_dir = run_experiment(cfg)
         lines = open(os.path.join(run_dir, "sampling_sweep.csv")).read().splitlines()
         assert lines[0] == "# schema: codedgi.sampling-sweep.v1"
         assert len(lines) == 2 + 2
@@ -187,7 +195,7 @@ class TestOtherExperiments:
 
     def test_compare_artifacts(self, tmp_path):
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "c"), snr_db=10.0)
-        run_dir = run_baseline_compare(cfg)
+        run_dir = run_experiment(cfg)
         lines = open(os.path.join(run_dir, "compare.csv")).read().splitlines()
         assert lines[1] == "method,trial,ber,psnr"
         assert len(lines) == 2 + 4 * cfg.trials  # one row per (method, trial)
@@ -199,7 +207,7 @@ class TestOtherExperiments:
             experiment="grayscale", scene="radial", out=str(tmp_path / "g"),
             snr_db=14.0, gray_bits=2,
         )
-        run_dir = run_grayscale(cfg)
+        run_dir = run_experiment(cfg)
         lines = open(os.path.join(run_dir, "grayscale.csv")).read().splitlines()
         assert lines[1] == "frames,mae"
         assert [l.split(",")[0] for l in lines[2:]] == ["1", "2", "4"]
@@ -211,7 +219,7 @@ class TestOtherExperiments:
             experiment="grayscale", scene="allzero", out=str(tmp_path / "z"),
             snr_db=18.0, gray_bits=2,
         )
-        run_dir = run_grayscale(cfg)
+        run_dir = run_experiment(cfg)
         from codedgi.pgmio import read_pgm
 
         _, _, stacked = read_pgm(os.path.join(run_dir, "gray_stack_snr18_n4.pgm"))
@@ -230,7 +238,7 @@ def _tree_bytes(run_dir, skip=("manifest.txt",)):
 class TestManifestReplay:
     def test_manifest_config_round_trip(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "m"))
-        run_dir = run_ber_sweep(cfg)
+        run_dir = run_experiment(cfg)
         parsed = read_manifest_config(os.path.join(run_dir, "manifest.txt"))
         assert parsed == cfg
 
@@ -240,9 +248,41 @@ class TestManifestReplay:
         second = replay(os.path.join(first, "manifest.txt"), str(tmp_path / "second"))
         assert _tree_bytes(first) == _tree_bytes(second)
 
+    def test_rng_wiring_frozen(self, tmp_path):
+        """Per-trial outcomes frozen from a known-good build.
+
+        Replay and thread checks compare a run with itself, so they stay
+        green when a refactor swaps a substream or the point and trial
+        arguments of the seed derivation; these values do not.
+        """
+        expect = {
+            "sum-constraint": (
+                [("8", "1"), ("50", "0"), ("5", "1"), ("14", "1")],
+                ["0.2265625", "0.1171875"],
+            ),
+            "gf2": (
+                [("50", "0"), ("5", "1"), ("4", "1"), ("5", "1")],
+                ["0.1875", "0.0"],
+            ),
+        }
+        for mode, (diag_cols, ber_means) in expect.items():
+            run_dir = run_experiment(tiny_cfg(out=str(tmp_path / mode), decoder_mode=mode))
+            diag = open(os.path.join(run_dir, "decode_diagnostics.csv")).read().splitlines()
+            assert [tuple(l.split(",")[2:4]) for l in diag[2:]] == diag_cols, mode
+            sweep = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
+            assert [l.split(",")[1] for l in sweep[2:]] == ber_means, mode
+        run_dir = run_experiment(
+            tiny_cfg(experiment="compare", out=str(tmp_path / "c"), snr_db=10.0)
+        )
+        lines = open(os.path.join(run_dir, "compare.csv")).read().splitlines()
+        assert [l.split(",")[2] for l in lines[2:]] == [
+            "0.203125", "0.21875", "0.25", "0.328125",
+            "0.234375", "0.265625", "0.296875", "0.34375",
+        ]
+
     def test_manifest_lists_all_seeds(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "m2"))
-        run_dir = run_ber_sweep(cfg)
+        run_dir = run_experiment(cfg)
         text = open(os.path.join(run_dir, "manifest.txt")).read()
         for p in range(2):
             for t in range(2):
