@@ -1,8 +1,11 @@
 """Classical ghost-imaging reconstructions for comparison runs.
 
-CGI and DGI are model-free ensemble correlators on the raw bucket signal;
-the pseudo-inverse solves the linear system with known fading folded into
-the rows. All three return unnormalized real-valued images.
+CGI and DGI are model-free ensemble correlators on the raw bucket signal,
+computed from the patterns' index lists. The pseudo-inverse solves the
+linear system with known fading folded into the rows by a column-pivoted QR
+(complete orthogonal factorization), which cuts the rank where the estimated
+condition number would pass 1e10 and returns the minimum-norm least-squares
+solution. All three return unnormalized real-valued images.
 """
 
 from __future__ import annotations
@@ -39,41 +42,50 @@ def _check_lengths(ens: IlluminationEnsemble, m: Measurement) -> None:
         raise ValueError("empty ensemble")
 
 
+def _centred_correlation(ens: IlluminationEnsemble, c: np.ndarray) -> np.ndarray:
+    """(1/N) c^T (A - ABar) without forming the dense (N, K) matrix A."""
+    rows, pixels = ens.lit_entries()
+    n = ens.n_patterns
+    lit_fraction = np.bincount(pixels, minlength=ens.k_pixels) / n
+    hits = np.bincount(pixels, weights=c[rows], minlength=ens.k_pixels)
+    return (hits - lit_fraction * c.sum()) / n
+
+
 def cgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
     """Ensemble-covariance estimator: (1/N) sum (R_n - RBar)(A_n - ABar)."""
     _check_lengths(ens, m)
-    a = ens.dense()
     r = m.bucket
-    image = (r - r.mean()) @ (a - a.mean(axis=0)) / ens.n_patterns
-    return Reconstruction(image=image, method="cgi")
+    return Reconstruction(image=_centred_correlation(ens, r - r.mean()), method="cgi")
 
 
 def dgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
     """Differential estimator: bucket recentered by total pattern intensity."""
     _check_lengths(ens, m)
-    a = ens.dense()
     r = m.bucket
     s = ens.pattern_sizes().astype(np.float64)
     s_mean = s.mean()
     if s_mean == 0:
         raise ValueError("all patterns are empty; differential term undefined")
     diff = r - (r.mean() / s_mean) * s
-    image = diff @ (a - a.mean(axis=0)) / ens.n_patterns
-    return Reconstruction(image=image, method="dgi")
+    return Reconstruction(image=_centred_correlation(ens, diff), method="dgi")
 
 
 def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
     """Minimum-norm least squares of (diag(|h| sqrt(Es)) A) x = R.
 
     Per-shot magnitudes enter the system matrix as the receiver knows them
-    (true values with CSI, ensemble mean without). Solved by SVD; singular
-    values below 1e-10 of the largest are truncated, so rank-deficient
-    systems return the minimum-norm solution.
+    (true values with CSI, ensemble mean without). Solved by a column-pivoted
+    QR, a complete orthogonal factorization (LAPACK gelsy): the rank is the
+    largest leading triangle of R whose estimated condition number stays
+    below 1e10, and the rest is cut, so a rank-deficient system, such as one
+    with a pixel no pattern lights, returns the minimum-norm solution.
     """
+    # imported here: scipy.linalg costs about 50 ms to import, and only pinv uses it
+    import scipy.linalg
+
     _check_lengths(ens, m)
-    a = ens.dense()
-    system = effective_amplitudes(m)[:, None] * math.sqrt(m.channel.es) * a
-    x, *_ = np.linalg.lstsq(system, m.bucket, rcond=1e-10)
+    system = effective_amplitudes(m)[:, None] * math.sqrt(m.channel.es) * ens.dense()
+    x, *_ = scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")
     return Reconstruction(image=x, method="pinv")
 
 

@@ -79,11 +79,17 @@ class IlluminationEnsemble:
             raise ValueError("empty ensemble")
         return float(self.pattern_sizes().sum()) / (self.n_patterns * self.k_pixels)
 
+    def lit_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pattern, pixel) index pairs of every lit entry, in pattern order."""
+        if not self.patterns:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        rows = np.repeat(np.arange(self.n_patterns), self.pattern_sizes())
+        return rows, np.concatenate(self.patterns)
+
     def dense(self) -> np.ndarray:
-        """(N, K) 0/1 matrix; intended for the correlation baselines."""
+        """(N, K) 0/1 matrix; used by the pseudo-inverse baseline and the tests."""
         a = np.zeros((self.n_patterns, self.k_pixels), dtype=np.float64)
-        for n, pat in enumerate(self.patterns):
-            a[n, pat] = 1.0
+        a[self.lit_entries()] = 1.0
         return a
 
 
@@ -164,11 +170,10 @@ def random_speckle(
     """Bernoulli(duty) speckle: each pixel lit independently per pattern."""
     if not 0 < duty <= 1:
         raise ValueError("duty must lie in (0, 1]")
-    rng = np.random.default_rng(seed)
-    patterns = []
-    for _ in range(n):
-        mask = rng.random(k) < duty
-        patterns.append(np.flatnonzero(mask).astype(np.int64))
+    # one (n, k) draw is the same PCG64 stream as n draws of k
+    lit = np.random.default_rng(seed).random((n, k)) < duty
+    pixels = (np.flatnonzero(lit) % k).astype(np.int64, copy=False)
+    patterns = np.split(pixels, np.cumsum(lit.sum(axis=1))[:-1]) if n else []
     return IlluminationEnsemble(k_pixels=k, patterns=patterns, source="speckle")
 
 

@@ -149,6 +149,10 @@ class RunConfig:
                 raise ValueError("plane dimensions must be positive")
             if self.sampling < 1:
                 raise ValueError("sampling multiplier must be >= 1")
+            if not self.multipliers or min(self.multipliers) < 1:
+                raise ValueError("multipliers must be a non-empty list of values >= 1")
+            if not self.snr_db_list:
+                raise ValueError("snr_db_list must not be empty")
             if self.trials < 1:
                 raise ValueError("trials must be >= 1")
             if self.threads < 1:
@@ -229,10 +233,16 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
+_BOOL_WORDS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _coerce(key: str, value: str, default):
     try:
         if isinstance(default, bool):
-            return value.lower() in ("1", "true", "yes", "on")
+            return _BOOL_WORDS[value.lower()]
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -243,7 +253,7 @@ def _coerce(key: str, value: str, default):
                 return tuple(int(float(v)) for v in items)
             return tuple(float(v) for v in items)
         return value
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 

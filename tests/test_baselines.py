@@ -11,14 +11,16 @@ from codedgi import (
     Measurement,
     SceneImage,
     binarize,
+    builtin_scene,
     cgi_reconstruct,
     dgi_reconstruct,
+    effective_amplitudes,
     otsu_threshold,
     pinv_reconstruct,
     random_speckle,
     sense,
 )
-from codedgi.baselines import Reconstruction
+from codedgi.baselines import Reconstruction, _centred_correlation
 
 
 def identity_ensemble(k):
@@ -43,6 +45,11 @@ def cgi_oracle(a, r):
     for i in range(k):
         out[i] = np.mean((r - r.mean()) * (a[:, i] - a[:, i].mean()))
     return out
+
+
+def dense_correlation(a, c):
+    """(1/N) c^T (A - ABar) on the dense pattern matrix."""
+    return c @ (a - a.mean(axis=0)) / a.shape[0]
 
 
 class TestCgi:
@@ -144,6 +151,18 @@ class TestPinv:
             cand = x + rng.normal(0, 0.2, 10)
             assert best <= np.linalg.norm(m.bucket - a @ cand) + 1e-12
 
+    def test_unlit_pixel_is_exactly_zero(self):
+        # pixel 3 is in no pattern: its column is zero, so the minimum-norm x_3 is 0
+        rng = np.random.default_rng(22)
+        lit = random_speckle(8, 24, 0.5, seed=23).patterns
+        ens = IlluminationEnsemble(8, [p[p != 3] for p in lit], source="speckle")
+        scene = SceneImage(4, 2, rng.integers(0, 2, 8).astype(float))
+        m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=24)
+        x = pinv_reconstruct(ens, m).image
+        assert x[3] == 0.0
+        want = np.linalg.lstsq(m.fading_mag[:, None] * ens.dense(), m.bucket, rcond=1e-10)[0]
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-10)
+
     def test_uses_mean_amplitude_without_csi(self):
         rng = np.random.default_rng(12)
         ens = random_speckle(6, 18, 0.5, seed=13)
@@ -158,6 +177,41 @@ class TestPinv:
         x_csi = pinv_reconstruct(ens, m_csi).image
         x_blind = pinv_reconstruct(ens, m_blind).image
         assert not np.allclose(x_csi, x_blind)
+
+
+class TestBenchmarkScale:
+    """The compare benchmark's shape: 32x32 glyphs, N = 2048, duty 0.15, Rayleigh."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["no_csi", "csi"])
+    def acquisition(self, request):
+        ens = random_speckle(1024, 2048, 0.15, seed=31)
+        ch = ChannelParams.at_snr_db(10.0, 1.0, "rayleigh", csi_known=request.param)
+        return ens, sense(ens, builtin_scene("glyphs", 32, 32), ch, seed=32)
+
+    def test_cgi_and_dgi_match_dense_formula(self, acquisition):
+        ens, m = acquisition
+        a = ens.dense()
+        r = m.bucket
+        s = a.sum(axis=1)
+        np.testing.assert_allclose(
+            cgi_reconstruct(ens, m).image, dense_correlation(a, r - r.mean()), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            dgi_reconstruct(ens, m).image,
+            dense_correlation(a, r - (r.mean() / s.mean()) * s),
+            rtol=0,
+            atol=1e-12,
+        )
+        # both estimators centre c, so Sum c = 0; a raw bucket exercises the ABar term
+        np.testing.assert_allclose(
+            _centred_correlation(ens, r), dense_correlation(a, r), rtol=0, atol=1e-12
+        )
+
+    def test_pinv_matches_svd_least_squares(self, acquisition):
+        ens, m = acquisition
+        system = effective_amplitudes(m)[:, None] * ens.dense()
+        want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
+        np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=1e-9)
 
 
 class TestSharedProperties:

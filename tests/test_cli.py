@@ -99,3 +99,15 @@ def test_non_finite_snr_exit_code(tmp_path, glyph_pgm, capsys):
                  "--out", str(tmp_path / "m.csv")]) == 2
     assert main(["bound", "--k", "64", "--n", "128", "--snr-db", "nan"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "experiment, line", [("sweep-sampling", "multipliers = 0"), ("sweep-ber", "snr_db_list =")]
+)
+def test_empty_sweep_exits_before_run_dir(tmp_path, capsys, experiment, line):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(f"width = 8\nheight = 8\ndegree = 4\n{line}\n")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

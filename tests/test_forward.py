@@ -82,6 +82,26 @@ class TestRandomSpeckle:
         b = random_speckle(32, 10, 0.3, seed=9)
         assert all(np.array_equal(x, y) for x, y in zip(a.patterns, b.patterns))
 
+    @pytest.mark.parametrize(
+        "k, n, duty, seed",
+        [(1, 1, 0.5, 0), (16, 5, 1.0, 0), (9, 40, 0.05, 3), (64, 33, 0.3, 7),
+         (1024, 64, 0.15, 20250810), (8, 0, 0.5, 1)],
+    )
+    def test_matches_per_row_draws(self, k, n, duty, seed):
+        # per-row draws and per-row dense fill, kept as the oracle for the block versions
+        rng = np.random.default_rng(seed)
+        want = [np.flatnonzero(rng.random(k) < duty).astype(np.int64) for _ in range(n)]
+        want_dense = np.zeros((n, k))
+        for i, pat in enumerate(want):
+            want_dense[i, pat] = 1.0
+        if (k, n) == (9, 40):
+            assert any(len(p) == 0 for p in want)
+        ens = random_speckle(k, n, duty, seed)
+        assert len(ens.patterns) == n
+        for got, pat in zip(ens.patterns, want):
+            assert got.dtype == np.int64 and np.array_equal(got, pat)
+        assert np.array_equal(ens.dense(), want_dense)
+
     @pytest.mark.parametrize("duty", [0.0, 1.5, -0.1])
     def test_invalid_duty(self, duty):
         with pytest.raises(ValueError):

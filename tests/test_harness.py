@@ -85,6 +85,21 @@ class TestConfigParsing:
         assert cfg.snr_db_list == (0.0, 2.5, 5.0)
         assert cfg.csi_known is True
         assert cfg.multipliers == (1, 2, 4)
+        for word, value in (("YES", True), ("On", True), ("1", True),
+                            ("No", False), ("OFF", False), ("0", False), ("false", False)):
+            assert parse_config_text(f"baseline_on_coded = {word}\n").baseline_on_coded is value
+
+    @pytest.mark.parametrize("text", ["maybe", "ture", "2", ""])
+    def test_bool_accepts_only_known_words(self, text):
+        with pytest.raises(ConfigError, match="bad value"):
+            parse_config_text(f"csi_known = {text}\n")
+
+    @pytest.mark.parametrize(
+        "text", ["snr_db_list = \n", "multipliers = \n", "multipliers = 0\n", "multipliers = 1,0,2\n"]
+    )
+    def test_empty_sweep_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_config_text(text)
 
     def test_non_finite_snr_rejected(self):
         for text in ("snr_db_list = 0,nan\n", "snr_db_list = inf\n", "snr_db = nan\n",
