@@ -30,7 +30,6 @@ from .forward import (
 )
 from .decoder import (
     BpOptions,
-    BpState,
     DecodeDiagnostics,
     DecodeResult,
     count_pmf,

@@ -93,14 +93,15 @@ def otsu_threshold(values: np.ndarray) -> float:
     """Deterministic two-class threshold maximizing between-class variance.
 
     Works on a 256-bin histogram between min and max; ties resolve to the
-    lowest qualifying threshold. Constant input returns its single value
-    (so `values > threshold` is all False).
+    lowest qualifying threshold. Constant input returns its maximum (so
+    `values > threshold` is all False); so does input whose range is too
+    small for 256 float bins, i.e. values that differ only by rounding.
     """
     v = np.asarray(values, dtype=np.float64)
     lo, hi = float(v.min()), float(v.max())
-    if lo == hi:
-        return lo
     nbins = 256
+    if not np.all(np.diff(np.linspace(lo, hi, nbins + 1)) > 0):
+        return hi
     hist, edges = np.histogram(v, bins=nbins, range=(lo, hi))
     w = hist.astype(np.float64) / hist.sum()
     centers = (edges[:-1] + edges[1:]) / 2.0

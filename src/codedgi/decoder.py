@@ -1,24 +1,27 @@
 """Belief-propagation reconstruction from bucket measurements.
 
-Two decoders share the option/result types:
+Both decoders run the same sum-product core on a bipartite graph: the checks
+are batched by degree with `_by_degree`, messages live in plain per-group
+arrays, and every variable pass sums its incoming logits with `_totals`.
 
-- decode_sum_bp: sum-product on the bipartite pixel/measurement graph.
-  Measurement j observes the integer count of lit pixels among its neighbors
-  through a Gaussian channel, so each check-to-pixel message mixes the
+- decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
+  observes the integer count of lit pixels among its neighbors through a
+  Gaussian channel, so each check-to-pixel message mixes the
   Poisson-binomial pmf of the other neighbors' count with the per-count
-  likelihoods. Checks are batched by pattern degree d, and all d
-  leave-one-out sums of a check come from one segment tree over its edges,
-  padded to d' = 2**ceil(log2 d) leaves with p = 0 (a neighbor that is
-  never lit, so the padding is exact). The up pass convolves sibling count
-  pmfs level by level; the down pass correlates each parent's
-  expected-likelihood table with the sibling pmf to get each child's table.
-  That is O(d^2) work per check per iteration in O(log d) numpy calls.
+  likelihoods. All d leave-one-out sums of a check come from one segment
+  tree over its edges, padded to d' = 2**ceil(log2 d) leaves with p = 0 (a
+  neighbor that is never lit, so the padding is exact). The up pass
+  convolves sibling count pmfs level by level; the down pass correlates each
+  parent's expected-likelihood table with the sibling pmf to get each
+  child's table. That is O(d^2) work per check per iteration in O(log d)
+  numpy calls. Pixel->measurement messages are probabilities of one, since
+  the count pmf and the damping need them; measurement->pixel messages are
+  logits, log p1/p0. Both are clamped to [1e-12, 1-1e-12] (in probability)
+  to avoid zero-lock.
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
-  for the binary-symbol channel view of the same system.
-
-Messages live in [0, 1] (probability of one) and are clamped to
-[1e-12, 1-1e-12] before products to avoid zero-lock.
+  for the binary-symbol channel view of the same system. Its messages are
+  LLRs, log p0/p1.
 """
 
 from __future__ import annotations
@@ -40,8 +43,6 @@ from .forward import (
 MSG_FLOOR = 1e-12
 _LLR_CLIP = 2.0 * math.atanh(1.0 - 1e-15)
 
-BP_MODES = ("sum-constraint", "gf2")
-
 
 @dataclass
 class BpOptions:
@@ -49,8 +50,6 @@ class BpOptions:
     stall_window: int = 3
     pixel_prior_one: float = 0.5
     damping: float = 0.0
-    mode: str = "sum-constraint"
-    validate: bool = False  # per-iteration range asserts, for tests
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -61,21 +60,6 @@ class BpOptions:
             raise ValueError("pixel_prior_one must lie in (0, 1)")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
-        if self.mode not in BP_MODES:
-            raise ValueError(f"mode must be one of {BP_MODES}")
-
-
-@dataclass
-class BpState:
-    """Final factor-graph messages, keyed by flat edge arrays."""
-
-    edge_meas: np.ndarray  # measurement index per edge
-    edge_pixel: np.ndarray  # pixel index per edge
-    msg_pixel_to_meas: np.ndarray  # probability-of-one per edge
-    msg_meas_to_pixel: np.ndarray
-    marginals: np.ndarray
-    iterations_run: int
-    converged: bool
 
 
 @dataclass
@@ -84,7 +68,6 @@ class DecodeDiagnostics:
     converged: bool
     residual: float
     unpinned_pixel_count: int
-    exact_likelihood: bool = False
 
     def csv_row(self) -> str:
         return (
@@ -95,10 +78,15 @@ class DecodeDiagnostics:
 
 @dataclass
 class DecodeResult:
+    """Hard decisions, posterior probabilities of one, and diagnostics.
+
+    `marginals` covers the K pixels for decode_sum_bp and all N code symbols
+    for decode_gf2_bp, whose `pixels` are the first K hard decisions.
+    """
+
     pixels: np.ndarray
     marginals: np.ndarray
     diagnostics: DecodeDiagnostics
-    state: BpState | None = None
 
 
 def measurement_likelihood(
@@ -157,30 +145,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-class _DegreeGroup:
-    """All measurements whose pattern has the same size, batched."""
+def _by_degree(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(row ids, (B, d) index matrix) for each nonempty row size, in increasing d.
 
-    def __init__(self, degree: int, meas_ids: np.ndarray, px: np.ndarray):
-        self.degree = degree
-        self.meas_ids = meas_ids  # (B,)
-        self.px = px  # (B, d) pixel indices
-        self.p2m = None  # (B, d) pixel->measurement prob-of-one
-        self.m2p = None  # (B, d) measurement->pixel prob-of-one
-        self.lik = None  # (d'+1, B) per-count likelihood, zero past count d
+    An empty row (a measurement with no lit pixels) constrains nothing.
+    """
+    ids_of: dict[int, list[int]] = {}
+    for i, row in enumerate(rows):
+        if len(row):
+            ids_of.setdefault(len(row), []).append(i)
+    return [
+        (np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]).astype(np.int64))
+        for _, ids in sorted(ids_of.items())
+    ]
 
 
-def _build_groups(ens: IlluminationEnsemble) -> list[_DegreeGroup]:
-    by_degree: dict[int, list[int]] = {}
-    for n, pat in enumerate(ens.patterns):
-        if len(pat) == 0:
-            continue  # measurement with no lit pixels constrains nothing
-        by_degree.setdefault(len(pat), []).append(n)
-    groups = []
-    for d in sorted(by_degree):
-        ids = np.array(by_degree[d], dtype=np.int64)
-        px = np.stack([ens.patterns[n] for n in ids]).astype(np.int64)
-        groups.append(_DegreeGroup(d, ids, px))
-    return groups
+def _totals(prior, groups, msgs, n: int) -> np.ndarray:
+    """Prior plus every incoming message, summed one group at a time."""
+    total = np.full(n, prior, dtype=np.float64)
+    for (_, idx), msg in zip(groups, msgs):
+        total += np.bincount(idx.ravel(), weights=msg.ravel(), minlength=n)
+    return total
 
 
 def _likelihood_table(
@@ -204,10 +189,11 @@ def _likelihood_table(
     return out
 
 
-def _check_update(group: _DegreeGroup) -> None:
-    """Recompute measurement->pixel messages from the current pixel messages.
+def _check_update(p2m: np.ndarray, lik: np.ndarray) -> np.ndarray:
+    """Measurement->pixel logits (B, d) from pixel->measurement probabilities.
 
-    Edge t needs m_c = sum_v pmf_{-t}(v) lik(v + c) for c in {0, 1}, where
+    p2m is (B, d); lik is the (d'+1, B) table from _likelihood_table. Edge t
+    needs m_c = sum_v pmf_{-t}(v) lik(v + c) for c in {0, 1}, where
     pmf_{-t} is the count pmf of the other neighbors. A segment tree over
     d' = 2**ceil(log2 d) leaves gives all d of them at once:
 
@@ -225,13 +211,12 @@ def _check_update(group: _DegreeGroup) -> None:
     with no division but the final m_1 / (m_0 + m_1). A check whose
     likelihoods are all zero (N0 = 0 and no count fits) sends 0.5.
     """
-    d = group.degree
-    b = len(group.meas_ids)
+    b, d = p2m.shape
     levels = (d - 1).bit_length()
     leaves = np.zeros((1 << levels, 2, b))
     leaves[:, 0] = 1.0
-    leaves[:d, 0] = 1.0 - group.p2m.T
-    leaves[:d, 1] = group.p2m.T
+    leaves[:d, 0] = 1.0 - p2m.T
+    leaves[:d, 1] = p2m.T
     pmfs = [leaves]  # level l: (d' / 2**l, 2**l + 1, B)
     for _ in range(levels - 1):
         pairs = pmfs[-1].reshape(-1, 2, *pmfs[-1].shape[1:])
@@ -240,7 +225,7 @@ def _check_update(group: _DegreeGroup) -> None:
         padded[:, s : 2 * s + 1] = pairs[:, 0]
         windows = sliding_window_view(padded, s + 1, axis=1)
         pmfs.append(np.einsum("nkbj,njb->nkb", windows, pairs[:, 1, ::-1]))
-    gamma = group.lik[None]
+    gamma = lik[None]
     # at d = 1 the root is the only leaf: no level to descend, gamma = lik
     for pmf in reversed(pmfs[:levels]):
         s1 = pmf.shape[1]
@@ -250,7 +235,7 @@ def _check_update(group: _DegreeGroup) -> None:
     m0, m1 = gamma[:d, 0], gamma[:d, 1]
     denom = m0 + m1
     msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
-    group.m2p = np.ascontiguousarray(np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR).T)
+    return _logit(msg).T
 
 
 def decode_sum_bp(
@@ -264,8 +249,6 @@ def decode_sum_bp(
     stall_window consecutive iterations, or at max_iters.
     """
     opts = opts or BpOptions()
-    if opts.mode != "sum-constraint":
-        raise ValueError("decode_sum_bp requires mode='sum-constraint'")
     if ens.n_patterns != m.n_shots:
         raise ValueError(
             f"ensemble has {ens.n_patterns} patterns, measurement {m.n_shots}"
@@ -273,15 +256,13 @@ def decode_sum_bp(
     k = ens.k_pixels
     ch = m.channel
     amp = effective_amplitudes(m)
-    groups = _build_groups(ens)
-    for g in groups:
-        g.p2m = np.full((len(g.meas_ids), g.degree), opts.pixel_prior_one)
-        g.lik = _likelihood_table(m.bucket[g.meas_ids], amp[g.meas_ids], g.degree, ch)
-
-    degree_of_pixel = np.zeros(k, dtype=np.int64)
-    for g in groups:
-        np.add.at(degree_of_pixel, g.px.ravel(), 1)
-    unpinned = int((degree_of_pixel == 0).sum())
+    groups = _by_degree(ens.patterns)
+    p2m = [np.full(px.shape, opts.pixel_prior_one) for _, px in groups]
+    liks = [
+        _likelihood_table(m.bucket[ids], amp[ids], px.shape[1], ch) for ids, px in groups
+    ]
+    pixel_degree = _totals(0.0, groups, [np.ones(px.shape) for _, px in groups], k)
+    unpinned = int((pixel_degree == 0).sum())
 
     prior_logit = math.log(opts.pixel_prior_one) - math.log1p(-opts.pixel_prior_one)
     marginals = np.full(k, opts.pixel_prior_one)
@@ -291,26 +272,16 @@ def decode_sum_bp(
     converged = False
 
     for iteration in range(1, opts.max_iters + 1):
-        for g in groups:
-            _check_update(g)
+        m2p = [_check_update(p, lik) for p, lik in zip(p2m, liks)]
         # pixel pass: sum incoming logits once, subtract own edge per message
-        logits = [_logit(g.m2p) for g in groups]
-        total = np.full(k, prior_logit)
-        for g, lg in zip(groups, logits):
-            total += np.bincount(g.px.ravel(), weights=lg.ravel(), minlength=k)
-        for g, lg in zip(groups, logits):
-            outgoing = _sigmoid(total[g.px] - lg)
+        total = _totals(prior_logit, groups, m2p, k)
+        for i, (_, px) in enumerate(groups):
+            outgoing = _sigmoid(total[px] - m2p[i])
             if opts.damping > 0:
-                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * g.p2m
-            g.p2m = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
+                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * p2m[i]
+            p2m[i] = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
 
         marginals = _sigmoid(total)
-        if opts.validate:
-            assert np.all((marginals >= 0) & (marginals <= 1))
-            for g in groups:
-                assert np.all((g.p2m >= 0) & (g.p2m <= 1))
-                assert np.all((g.m2p >= 0) & (g.m2p <= 1))
-
         new_hard = marginals > 0.5
         iterations = iteration
         if np.array_equal(new_hard, hard):
@@ -325,38 +296,18 @@ def decode_sum_bp(
     pixels = hard.astype(np.uint8)
     # residual in count units, using the decoder's amplitude model
     predicted = np.zeros(m.n_shots)
-    for g in groups:
-        counts = pixels[g.px].sum(axis=1).astype(np.float64)
-        predicted[g.meas_ids] = amp[g.meas_ids] * math.sqrt(ch.es) * counts
+    for ids, px in groups:
+        counts = pixels[px].sum(axis=1).astype(np.float64)
+        predicted[ids] = amp[ids] * math.sqrt(ch.es) * counts
     residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(ch.es))
 
-    edge_meas = np.concatenate(
-        [np.repeat(g.meas_ids, g.degree) for g in groups]
-    ) if groups else np.empty(0, dtype=np.int64)
-    edge_pixel = np.concatenate([g.px.ravel() for g in groups]) if groups else np.empty(
-        0, dtype=np.int64
-    )
-    state = BpState(
-        edge_meas=edge_meas,
-        edge_pixel=edge_pixel,
-        msg_pixel_to_meas=np.concatenate([g.p2m.ravel() for g in groups])
-        if groups
-        else np.empty(0),
-        msg_meas_to_pixel=np.concatenate([g.m2p.ravel() for g in groups])
-        if groups
-        else np.empty(0),
-        marginals=marginals,
-        iterations_run=iterations,
-        converged=converged,
-    )
     diag = DecodeDiagnostics(
         iterations_run=iterations,
         converged=converged,
         residual=residual,
         unpinned_pixel_count=unpinned,
-        exact_likelihood=(ch.n0 == 0),
     )
-    return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag, state=state)
+    return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
 
 def decode_gf2_bp(
@@ -367,34 +318,22 @@ def decode_gf2_bp(
     Exits early as soon as the hard-decision word has zero syndrome; the
     first K bits of the hard decision are returned as pixels.
     """
-    opts = opts or BpOptions(mode="gf2")
-    if opts.mode != "gf2":
-        raise ValueError("decode_gf2_bp requires mode='gf2'")
+    opts = opts or BpOptions()
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (h.n_total,):
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
 
-    by_degree: dict[int, list[int]] = {}
-    for idx, row in enumerate(h.rows):
-        by_degree.setdefault(len(row), []).append(idx)
-    row_groups = [
-        np.stack([h.rows[i] for i in ids]).astype(np.int64)
-        for d, ids in sorted(by_degree.items())
-        if d > 0
-    ]
-    c2v = [np.zeros(vr.shape) for vr in row_groups]
-
+    groups = _by_degree(h.rows)
+    c2v = [np.zeros(vr.shape) for _, vr in groups]
     total = llrs.copy()
     hard = total < 0.0
     iterations = 0
     converged = False
     for iteration in range(1, opts.max_iters + 1):
-        # variable -> check from the previous totals
-        v2c = [total[vr] - msg for vr, msg in zip(row_groups, c2v)]
-        # check -> variable, tanh rule with prefix/suffix products
-        new_c2v = []
-        for lv in v2c:
-            t = np.tanh(lv / 2.0)
+        # check -> variable from the previous totals, tanh rule with
+        # prefix/suffix products
+        for i, (_, vr) in enumerate(groups):
+            t = np.tanh((total[vr] - c2v[i]) / 2.0)
             nb, d = t.shape
             prefix = np.ones((nb, d + 1))
             np.cumprod(t, axis=1, out=prefix[:, 1:])
@@ -403,49 +342,23 @@ def decode_gf2_bp(
             suffix = suffix[:, ::-1]
             prod_excl = prefix[:, :d] * suffix[:, 1:]
             msg = 2.0 * np.arctanh(np.clip(prod_excl, -1 + 1e-15, 1 - 1e-15))
-            new_c2v.append(np.clip(msg, -_LLR_CLIP, _LLR_CLIP))
-        c2v = new_c2v
+            c2v[i] = np.clip(msg, -_LLR_CLIP, _LLR_CLIP)
 
-        total = llrs.copy()
-        for vr, msg in zip(row_groups, c2v):
-            total += np.bincount(vr.ravel(), weights=msg.ravel(), minlength=h.n_total)
+        total = _totals(llrs, groups, c2v, h.n_total)
         hard = total < 0.0
         iterations = iteration
-        syndrome_ok = all(
-            (hard[vr].sum(axis=1) % 2 == 0).all() for vr in row_groups
-        )
-        if syndrome_ok:
+        if all((hard[vr].sum(axis=1) % 2 == 0).all() for _, vr in groups):
             converged = True
             break
 
-    pixels = hard[: h.k_info].astype(np.uint8)
-    marginals = _sigmoid(-total[: h.k_info])
     diag = DecodeDiagnostics(
         iterations_run=iterations,
         converged=converged,
         residual=math.nan,
         unpinned_pixel_count=0,
     )
-    # state carries the full-length posterior so callers can audit the
-    # hard-decision word (e.g. the converged => zero-syndrome contract)
-    if row_groups:
-        edge_check = np.concatenate(
-            [np.repeat(np.arange(len(vr)), vr.shape[1]) for vr in row_groups]
-        )
-        edge_var = np.concatenate([vr.ravel() for vr in row_groups])
-        flat_c2v = np.concatenate([m.ravel() for m in c2v])
-        msg_c2v = _sigmoid(-flat_c2v)
-        msg_v2c = _sigmoid(-(total[edge_var] - flat_c2v))
-    else:
-        edge_check = edge_var = np.empty(0, dtype=np.int64)
-        msg_c2v = msg_v2c = np.empty(0)
-    state = BpState(
-        edge_meas=edge_check,
-        edge_pixel=edge_var,
-        msg_pixel_to_meas=msg_v2c,
-        msg_meas_to_pixel=msg_c2v,
+    return DecodeResult(
+        pixels=hard[: h.k_info].astype(np.uint8),
         marginals=_sigmoid(-total),
-        iterations_run=iterations,
-        converged=converged,
+        diagnostics=diag,
     )
-    return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag, state=state)

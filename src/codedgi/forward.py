@@ -275,6 +275,9 @@ def load_measurement_csv(path) -> Measurement:
                 _, r, h = line.split(",")
                 bucket.append(float(r))
                 fading.append(float(h))
+    for key in ("es", "n0", "fading", "csi_known", "seed"):
+        if key not in meta:
+            raise ValueError(f"{path}: no '# {key} = ...' header line")
     ch = ChannelParams(
         es=float(meta["es"]),
         n0=float(meta["n0"]),

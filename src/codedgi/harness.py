@@ -51,6 +51,7 @@ from .scenes import SCENE_NAMES, builtin_scene
 RNG_ID = "numpy-PCG64; trial seeds via splitmix64(master, point, trial)"
 
 EXPERIMENTS = ("sweep-ber", "sweep-sampling", "compare", "grayscale")
+DECODER_MODES = ("sum-constraint", "gf2")
 
 
 class ConfigError(Exception):
@@ -138,13 +139,14 @@ class RunConfig:
             stall_window=self.stall_window,
             pixel_prior_one=self.prior,
             damping=self.damping,
-            mode=self.decoder_mode,
         )
 
     def validate(self) -> None:
         try:
             if self.experiment not in EXPERIMENTS:
                 raise ValueError(f"unknown experiment {self.experiment!r}")
+            if self.decoder_mode not in DECODER_MODES:
+                raise ValueError(f"decoder_mode must be one of {DECODER_MODES}")
             if self.width < 1 or self.height < 1:
                 raise ValueError("plane dimensions must be positive")
             if self.sampling < 1:

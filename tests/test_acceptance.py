@@ -256,7 +256,7 @@ def test_criterion_5_tree_exactness():
         ch = ChannelParams(es=1.0, n0=0.7, fading="rayleigh")
         m = sense(ens, scene, ch, seed=1000 + seed)
         res = decode_sum_bp(
-            m, ens, BpOptions(max_iters=60, stall_window=20, validate=True)
+            m, ens, BpOptions(max_iters=60, stall_window=20)
         )
         exact = exhaustive_marginals(m, ens)
         ok = ok and np.abs(res.marginals - exact).max() < 1e-9

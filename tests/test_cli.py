@@ -111,3 +111,22 @@ def test_empty_sweep_exits_before_run_dir(tmp_path, capsys, experiment, line):
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_compare_on_full_duty_speckle(tmp_path):
+    # every pattern lights every pixel: pinv's image is constant up to rounding
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("width = 16\nheight = 16\ntrials = 1\nspeckle_duty = 1\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "compare" / "pinv_snr10_s2_t0.pgm").exists()
+
+
+def test_measurement_csv_without_header_exit_code(tmp_path, capsys):
+    code = str(tmp_path / "code.txt")
+    meas = tmp_path / "meas.csv"
+    assert main(["gen-code", "--k", "4", "--n", "8", "--dist", "2", "--out", code]) == 0
+    meas.write_text("index,bucket,fading_mag\n" + "".join(f"{i},0.5,1.0\n" for i in range(8)))
+    assert main(["decode", "--code", code, "--meas", str(meas), "--width", "2",
+                 "--height", "2", "--out", str(tmp_path / "d.pgm")]) == 2
+    assert "'# es = ...'" in capsys.readouterr().err

@@ -113,6 +113,8 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("trials = 0\n")
         with pytest.raises(ConfigError):
+            parse_config_text("decoder_mode = teleport\n")
+        with pytest.raises(ConfigError):
             parse_config_text("degree = 300\nwidth = 8\nheight = 8\n")
 
     def test_distribution_parsing(self):
