@@ -2,10 +2,13 @@
 
 CGI and DGI are model-free ensemble correlators on the raw bucket signal,
 computed from the patterns' index lists. The pseudo-inverse solves the
-linear system with known fading folded into the rows by a column-pivoted QR
+linear system with known fading folded into the rows. A well-conditioned
+system goes through a Cholesky factor of its Gram matrix (the normal
+equations); one whose Gram is singular or has an estimated reciprocal
+condition number at or below GRAM_RCOND_MIN goes through a column-pivoted QR
 (complete orthogonal factorization), which cuts the rank where the estimated
-condition number would pass 1e10 and returns the minimum-norm least-squares
-solution. All three return unnormalized real-valued images.
+condition number would pass 1e10. Either path returns the minimum-norm
+least-squares solution. All three return unnormalized real-valued images.
 """
 
 from __future__ import annotations
@@ -18,6 +21,12 @@ import numpy as np
 from .forward import IlluminationEnsemble, Measurement, effective_amplitudes
 
 METHODS = ("cgi", "dgi", "pinv", "ldpc")
+
+# The normal equations square the system's condition number, so their Cholesky
+# solve loses about log10(1/rcond) digits, rcond being the Gram's reciprocal
+# condition number. Below 1e-8 (cond(A) above about 1e4) more than half of
+# float64's 16 digits would go, and the column-pivoted QR takes over.
+GRAM_RCOND_MIN = 1e-8
 
 
 @dataclass
@@ -74,17 +83,33 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     """Minimum-norm least squares of (diag(|h| sqrt(Es)) A) x = R.
 
     Per-shot magnitudes enter the system matrix as the receiver knows them
-    (true values with CSI, ensemble mean without). Solved by a column-pivoted
-    QR, a complete orthogonal factorization (LAPACK gelsy): the rank is the
-    largest leading triangle of R whose estimated condition number stays
-    below 1e10, and the rest is cut, so a rank-deficient system, such as one
-    with a pixel no pattern lights, returns the minimum-norm solution.
+    (true values with CSI, ensemble mean without). The fast path solves the
+    normal equations (A^T A) x = A^T R by a Cholesky factor (LAPACK potrf),
+    taken only when the factor exists and the Gram's estimated 1-norm
+    reciprocal condition number (pocon) exceeds GRAM_RCOND_MIN. Then the
+    system has full column rank and its unique least-squares solution is the
+    minimum-norm one. Otherwise, as for an unlit pixel, repeated patterns,
+    patterns that light every pixel or fewer patterns than pixels, a
+    column-pivoted QR (LAPACK gelsy) solves it: the rank is the largest
+    leading triangle of R whose estimated condition number stays below 1e10,
+    and the rest is cut, so a rank-deficient system returns the minimum-norm
+    solution.
     """
     # imported here: scipy.linalg costs about 50 ms to import, and only pinv uses it
     import scipy.linalg
+    from scipy.linalg import lapack
 
     _check_lengths(ens, m)
-    system = effective_amplitudes(m)[:, None] * math.sqrt(m.channel.es) * ens.dense()
+    rows, pixels = ens.lit_entries()
+    system = np.zeros((ens.n_patterns, ens.k_pixels))
+    system[rows, pixels] = (effective_amplitudes(m) * math.sqrt(m.channel.es))[rows]
+    gram = system.T @ system
+    chol, info = lapack.dpotrf(gram)
+    if info == 0:
+        rcond, _ = lapack.dpocon(chol, np.linalg.norm(gram, 1))
+        if rcond > GRAM_RCOND_MIN:
+            x, _ = lapack.dpotrs(chol, system.T @ m.bucket)
+            return Reconstruction(image=x, method="pinv")
     x, *_ = scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")
     return Reconstruction(image=x, method="pinv")
 

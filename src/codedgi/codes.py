@@ -219,4 +219,6 @@ def load_generator(path) -> GeneratorMatrix:
     for col in columns:
         if len(col) and (col.min() < 0 or col.max() >= k):
             raise ValueError("parity column index out of range")
+        if (np.diff(col) <= 0).any():
+            raise ValueError("parity column indices must be strictly increasing")
     return GeneratorMatrix(k_info=k, n_total=n, seed=seed, parity_columns=columns)

@@ -81,7 +81,7 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
         rest = [int(tok) for _, tok in toks]
         if len(rest) != count:
             raise ValueError(f"expected {count} pixels, got {len(rest)} in {path}")
-        gray = np.array(rest, dtype=np.uint16)
-        if gray.max(initial=0) > maxval:
-            raise ValueError("pixel value exceeds maxval")
+        if not all(0 <= v <= maxval for v in rest):
+            raise ValueError(f"pixel value outside 0..{maxval} in {path}")
+        gray = np.array(rest, dtype=np.uint8)
     return width, height, gray.astype(np.float64) / MAXVAL

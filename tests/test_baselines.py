@@ -113,6 +113,32 @@ class TestDgi:
             dgi_reconstruct(ens, m)
 
 
+def near_singular_acquisition():
+    """Six pixels, full rank, but pixels 0 and 1 are lit apart only by a shot
+    whose |h| is 1e-5: cond(A) is about 8e5, so the Gram's is about 7e11."""
+    rng = np.random.default_rng(40)
+    patterns = []
+    for _ in range(17):
+        lit = rng.choice(np.arange(2, 6), 2, replace=False).tolist()
+        if rng.random() < 0.5:
+            lit += [0, 1]
+        patterns.append(np.sort(lit))
+    patterns.append(np.array([0]))
+    ens = IlluminationEnsemble(6, patterns, source="speckle")
+    h = rng.rayleigh(math.sqrt(2 / math.pi), 18)
+    h[-1] = 1e-5
+    delta = rng.integers(0, 2, 6).astype(float)
+    bucket = h * (ens.dense() @ delta) + rng.normal(0, 0.3, 18)
+    return ens, manual_measurement(bucket, fading="rayleigh", h=h)
+
+
+def underdetermined_acquisition():
+    """Fewer patterns (12) than pixels (24), with CSI."""
+    ens = random_speckle(24, 12, 0.5, seed=41)
+    scene = SceneImage(6, 4, np.random.default_rng(42).integers(0, 2, 24).astype(float))
+    return ens, sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=43)
+
+
 class TestPinv:
     def test_square_invertible_noiseless(self):
         ens = identity_ensemble(5)
@@ -162,6 +188,19 @@ class TestPinv:
         assert x[3] == 0.0
         want = np.linalg.lstsq(m.fading_mag[:, None] * ens.dense(), m.bucket, rcond=1e-10)[0]
         np.testing.assert_allclose(x, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "acquire, atol",
+        [(near_singular_acquisition, 1e-5), (underdetermined_acquisition, 1e-10)],
+        ids=["near_singular", "underdetermined"],
+    )
+    def test_ill_conditioned_matches_svd_least_squares(self, acquire, atol):
+        # neither may take the normal equations: the first would lose about
+        # 12 of 16 digits there, and the second has a singular Gram
+        ens, m = acquire()
+        system = effective_amplitudes(m)[:, None] * ens.dense()
+        want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
+        np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=atol)
 
     def test_uses_mean_amplitude_without_csi(self):
         rng = np.random.default_rng(12)

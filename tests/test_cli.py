@@ -80,6 +80,16 @@ def test_bad_preset_exit_code(capsys):
     assert main(["sweep-ber", "--preset", "nope"]) == 2
 
 
+def test_out_of_range_scene_pixel_exit_code(tmp_path, capsys):
+    code = str(tmp_path / "code.txt")
+    scene = tmp_path / "bad.pgm"
+    scene.write_text("P2\n2 2\n255\n0 255\n-1 7\n")
+    assert main(["gen-code", "--k", "4", "--n", "8", "--dist", "2", "--out", code]) == 0
+    assert main(["sense", "--code", code, "--scene", str(scene),
+                 "--out", str(tmp_path / "m.csv")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_io_error_exit_code(tmp_path, capsys):
     assert main(["sense", "--code", str(tmp_path / "missing.txt"),
                  "--scene", str(tmp_path / "missing.pgm"), "--out", "x.csv"]) == 3

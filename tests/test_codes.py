@@ -188,7 +188,9 @@ class TestSerialization:
         assert lines[1] == "0 1" and lines[2] == "1 2"
 
     def test_bad_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("3 5 2 0\n0 1\n")
-        with pytest.raises(ValueError):
-            load_generator(path)
+        # truncated; a repeated index; unsorted indices
+        for text in ("3 5 2 0\n0 1\n", "3 5 2 0\n0 0\n1 2\n", "3 5 2 0\n2 1\n1 2\n"):
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_generator(path)

@@ -1,11 +1,15 @@
 """Harness: configs, seed mixing, experiment artifacts, manifest replay."""
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codedgi
 from codedgi.harness import (
     PRESETS,
     ConfigError,
@@ -304,3 +308,15 @@ class TestManifestReplay:
         for p in range(2):
             for t in range(2):
                 assert f"point{p}_trial{t} = {derive_trial_seed(7, t, p)}" in text
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs about 50 ms to import; only the pseudo-inverse uses it,
+    # so importing the package and the harness must not load it
+    src = str(Path(codedgi.__file__).resolve().parents[1])
+    probe = "import sys, codedgi, codedgi.harness; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -77,6 +77,13 @@ class TestPgm:
         with pytest.raises(ValueError, match="maxval"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("pixel", ["-1", "256", "70000", "1" + "0" * 20])
+    def test_out_of_range_ascii_pixel_rejected(self, tmp_path, pixel):
+        path = tmp_path / "p.pgm"
+        path.write_text(f"P2\n2 1\n255\n0 {pixel}\n")
+        with pytest.raises(ValueError, match="outside"):
+            read_pgm(path)
+
     def test_out_of_range_write_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", 2, 1, np.array([0.5, 1.5]))
