@@ -95,7 +95,7 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     and the rest is cut, so a rank-deficient system returns the minimum-norm
     solution.
     """
-    # imported here: scipy.linalg costs about 50 ms to import, and only pinv uses it
+    # imported here: scipy.linalg costs about 0.25 s to import cold, and only pinv uses it
     import scipy.linalg
     from scipy.linalg import lapack
 

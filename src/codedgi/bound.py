@@ -8,7 +8,12 @@ The bound is the sum of two error mechanisms, wrapped in a global 1/2:
 
 with g = Es/N0, Rc = K/N, and a the probability that a single wrong pixel
 flips a random parity column. Binomial weights are evaluated in log space
-(log-gamma) so N-K up to ~8192 stays finite.
+(log-gamma) so N-K up to ~8192 stays finite; they do not depend on SNR, so
+`bound_sweep` builds them once per sweep.
+
+Special functions come from the standard library (`math.erfc`,
+`math.lgamma`, `math.log1p`) with numpy; this module imports no scipy, so
+a run that needs no pseudo-inverse baseline never loads it.
 
 The erfc argument counts 1+j affected symbols (the wrong pixel's own symbol
 plus j flipped parity symbols) at uniform symbol energy; a strategy switch
@@ -21,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, gammaln, xlog1py, xlogy
 
 from .codes import DegreeDistribution
 from .forward import ChannelParams
@@ -88,26 +92,46 @@ def pairwise_error(j: int, params: BoundParams) -> float:
     if not 0 <= j <= params.n_total - params.k_info:
         raise ValueError("j out of range")
     arg = (1 + j) * params.es / (params.rate * params.n0)
-    return 0.5 * erfc(math.sqrt(arg))
+    return 0.5 * math.erfc(math.sqrt(arg))
 
 
-def _log_binom_weights(m: int, a: float) -> np.ndarray:
-    """log of Binomial(m, a) pmf over j = 0..m, safe at a = 0 or 1."""
+def _xlog(count: np.ndarray, log_y: float) -> np.ndarray:
+    """count * log_y, with 0 * log 0 = 0 as in scipy.special.xlogy."""
+    if log_y == -math.inf:
+        return np.where(count == 0, 0.0, -math.inf)
+    return count * log_y
+
+
+def _binom_weights(params: BoundParams) -> np.ndarray:
+    """Binomial(N-K, a) pmf over the flipped-parity count j, independent of SNR.
+
+    Evaluated in log space, safe at a = 0 or 1.
+    """
+    m = params.n_total - params.k_info
+    a = avg_column_hit_prob(params.dist, params.k_info)
     j = np.arange(m + 1)
-    return (
-        gammaln(m + 1)
-        - gammaln(j + 1)
-        - gammaln(m - j + 1)
-        + xlogy(j, a)
-        + xlog1py(m - j, -a)
+    log_fact = np.array([math.lgamma(i + 1) for i in range(m + 1)])  # log i!
+    log_a = math.log(a) if a > 0 else -math.inf
+    log_1ma = math.log1p(-a) if a < 1 else -math.inf
+    return np.exp(
+        log_fact[m] - log_fact - log_fact[::-1] + _xlog(j, log_a) + _xlog(m - j, log_1ma)
     )
 
 
 def binom_weight_sum(params: BoundParams) -> float:
     """Numeric normalization of the binomial weights (should be 1)."""
-    m = params.n_total - params.k_info
-    a = avg_column_hit_prob(params.dist, params.k_info)
-    return float(np.exp(_log_binom_weights(m, a)).sum())
+    return float(_binom_weights(params).sum())
+
+
+def _error_mixture(
+    params: BoundParams, weights: np.ndarray, energy_rule: str = "error-plus-parity"
+) -> float:
+    """0.5 * sum_j weights[j] * erfc(sqrt(symbols_j Es / (Rc N0)))."""
+    j = np.arange(len(weights))
+    symbols = j + 1 if energy_rule == "error-plus-parity" else j
+    args = symbols * params.es / (params.rate * params.n0)
+    erfcs = np.array([math.erfc(x) for x in np.sqrt(args).tolist()])
+    return float(0.5 * np.sum(weights * erfcs))
 
 
 def decoding_error_term(
@@ -116,13 +140,7 @@ def decoding_error_term(
     """Binomial mixture of AWGN pairwise errors over flipped-parity counts j."""
     if energy_rule not in ENERGY_RULES:
         raise ValueError(f"energy_rule must be one of {ENERGY_RULES}")
-    m = params.n_total - params.k_info
-    a = avg_column_hit_prob(params.dist, params.k_info)
-    j = np.arange(m + 1)
-    symbols = j + 1 if energy_rule == "error-plus-parity" else j
-    args = symbols * params.es / (params.rate * params.n0)
-    logw = _log_binom_weights(m, a)
-    return float(0.5 * np.sum(np.exp(logw) * erfc(np.sqrt(args))))
+    return _error_mixture(params, _binom_weights(params), energy_rule)
 
 
 def ber_lower_bound(
@@ -146,11 +164,14 @@ def bound_sweep(
     channel a run at that SNR uses, bit for bit.
     """
     rows = []
+    weights = None
     for snr_db in snr_db_list:
         n0 = ChannelParams.at_snr_db(snr_db, es).n0
         params = BoundParams(k_info=k_info, n_total=n_total, dist=dist, es=es, n0=n0)
+        if weights is None:
+            weights = _binom_weights(params)
         p_ray = rayleigh_ber(params.gamma)
-        p_e = decoding_error_term(params)
+        p_e = _error_mixture(params, weights)
         rows.append(
             {
                 "snr_db": float(snr_db),

@@ -81,7 +81,10 @@ def _cmd_decode(args) -> int:
     g = load_generator(args.code)
     ens = patterns_from_generator(g)
     meas = load_measurement_csv(args.meas)
-    result = decode_sum_bp(meas, ens, BpOptions(max_iters=args.max_iters))
+    options = BpOptions(
+        max_iters=args.max_iters, damping=args.damping, pixel_prior_one=args.prior
+    )
+    result = decode_sum_bp(meas, ens, options)
     write_pgm(args.out, args.width, args.height, result.pixels.astype(np.float64))
     d = result.diagnostics
     print(
@@ -179,6 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--damping", type=float, default=0.0, help="message damping in [0, 1)")
+    p.add_argument("--prior", type=float, default=0.5, help="prior P(pixel = 1) in (0, 1)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bound", help="evaluate the analytic BER lower bound")

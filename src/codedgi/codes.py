@@ -208,14 +208,18 @@ def load_generator(path) -> GeneratorMatrix:
         if len(header) != 4:
             raise ValueError(f"bad generator header in {path}")
         k, n, num_cols, seed = (int(x) for x in header)
+        if not 1 <= k <= n:
+            raise ValueError(
+                f"invalid generator shape in {path}: need 1 <= K <= N, got K={k} N={n}"
+            )
+        if n - k != num_cols:
+            raise ValueError("parity column count does not match N-K")
         columns = []
         for _ in range(num_cols):
             line = fh.readline()
             if not line:
                 raise ValueError(f"truncated generator file {path}")
             columns.append(np.array([int(t) for t in line.split()], dtype=np.int64))
-    if n - k != num_cols:
-        raise ValueError("parity column count does not match N-K")
     for col in columns:
         if len(col) and (col.min() < 0 or col.max() >= k):
             raise ValueError("parity column index out of range")

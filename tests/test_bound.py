@@ -22,17 +22,25 @@ from codedgi.bound import binom_weight_sum
 
 def mp_bound_oracle(k, n, terms, es, n0, dps=60):
     """Independent arbitrary-precision evaluation of the full bound."""
+    return mp_bound_oracle_sweep(k, n, terms, es, [n0], dps)[0]
+
+
+def mp_bound_oracle_sweep(k, n, terms, es, n0_list, dps=60):
+    """mp_bound_oracle at each N0, with the binomial weights built once."""
     with mp.workdps(dps):
-        g = mp.mpf(es) / mp.mpf(n0)
         rc = mp.mpf(k) / mp.mpf(n)
-        first = 1 - mp.sqrt(g / (1 + g))
         a = sum(mp.mpf(w) * mp.mpf(d) / k for d, w in terms)
         m = n - k
-        total = mp.mpf(0)
-        for j in range(m + 1):
-            wj = mp.binomial(m, j) * a**j * (1 - a) ** (m - j)
-            total += wj * mp.erfc(mp.sqrt((1 + j) * mp.mpf(es) / (rc * mp.mpf(n0))))
-        return float((first + total) / 2)
+        weights = [mp.binomial(m, j) * a**j * (1 - a) ** (m - j) for j in range(m + 1)]
+        out = []
+        for n0 in n0_list:
+            g = mp.mpf(es) / mp.mpf(n0)
+            first = 1 - mp.sqrt(g / (1 + g))
+            total = mp.mpf(0)
+            for j, wj in enumerate(weights):
+                total += wj * mp.erfc(mp.sqrt((1 + j) * mp.mpf(es) / (rc * mp.mpf(n0))))
+            out.append(float((first + total) / 2))
+        return out
 
 
 class TestRayleighBer:
@@ -162,6 +170,25 @@ class TestBerLowerBound:
         )
         oracle = mp_bound_oracle(k, n, terms, 1.0, n0)
         assert abs(mine - oracle) / oracle < 1e-10
+
+    @pytest.mark.parametrize(
+        "k,n,degree",
+        [
+            (8, 16, 8),  # degree = K, so a = 1 and the weights are a point mass at j = N-K
+            (8192, 16384, 8),  # N-K = 8192, the size the module docstring keeps finite
+        ],
+    )
+    def test_matches_high_precision_oracle_at_edges(self, k, n, degree):
+        snrs = (-3.0, 0.0, 6.0, 12.0)
+        n0s = [1.0 / 10 ** (snr_db / 10.0) for snr_db in snrs]
+        oracles = mp_bound_oracle_sweep(k, n, ((degree, 1.0),), 1.0, n0s, dps=40)
+        for n0, oracle in zip(n0s, oracles):
+            mine = ber_lower_bound(
+                BoundParams(k_info=k, n_total=n, dist=DegreeDistribution.regular(degree),
+                            es=1.0, n0=n0)
+            )
+            assert math.isfinite(mine)
+            assert abs(mine - oracle) / oracle < 1e-12
 
     def test_monotone_on_snr_grid(self):
         rows = bound_sweep(256, 512, DegreeDistribution.regular(8), range(-5, 21))

@@ -1,10 +1,15 @@
 """CLI subcommands and exit codes."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import codedgi
+import codedgi.cli
 from codedgi.cli import main
 from codedgi.pgmio import read_pgm, write_pgm
 from codedgi import builtin_scene
@@ -140,3 +145,76 @@ def test_measurement_csv_without_header_exit_code(tmp_path, capsys):
     assert main(["decode", "--code", code, "--meas", str(meas), "--width", "2",
                  "--height", "2", "--out", str(tmp_path / "d.pgm")]) == 2
     assert "'# es = ...'" in capsys.readouterr().err
+
+
+def test_generator_with_n_below_k_exit_code(tmp_path, capsys):
+    code = tmp_path / "code.txt"
+    code.write_text("3 2 -1 0\n")
+    scene = tmp_path / "scene.pgm"
+    write_pgm(scene, 3, 1, np.array([1.0, 0.0, 1.0]))
+    for command in ("sense", "encode"):
+        assert main([command, "--code", str(code), "--scene", str(scene),
+                     "--out", str(tmp_path / "out.txt")]) == 2
+        assert "1 <= K <= N" in capsys.readouterr().err
+
+
+def _decode_args(tmp_path, glyph_pgm, *extra):
+    code = str(tmp_path / "code.txt")
+    meas = str(tmp_path / "meas.csv")
+    assert main(["gen-code", "--k", "64", "--n", "128", "--dist", "4", "--seed", "3",
+                 "--out", code]) == 0
+    assert main(["sense", "--code", code, "--scene", glyph_pgm, "--snr-db", "4",
+                 "--seed", "5", "--out", meas]) == 0
+    return ["decode", "--code", code, "--meas", meas, "--width", "8", "--height", "8",
+            *extra]
+
+
+def test_decode_default_flags_keep_bytes(tmp_path, glyph_pgm, capsys):
+    args = _decode_args(tmp_path, glyph_pgm)
+    omitted, explicit = tmp_path / "omitted.pgm", tmp_path / "explicit.pgm"
+    assert main([*args, "--out", str(omitted)]) == 0
+    assert main([*args, "--damping", "0", "--prior", "0.5", "--out", str(explicit)]) == 0
+    assert omitted.read_bytes() == explicit.read_bytes()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split("(")[1] == lines[-1].split("(")[1]
+
+
+def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
+    args = _decode_args(tmp_path, glyph_pgm, "--damping", "0.3", "--prior", "0.2")
+    seen = []
+    real = codedgi.cli.decode_sum_bp
+
+    def spy(meas, ens, options):
+        seen.append(options)
+        return real(meas, ens, options)
+
+    monkeypatch.setattr(codedgi.cli, "decode_sum_bp", spy)
+    assert main([*args, "--out", str(tmp_path / "d.pgm")]) == 0
+    assert (seen[0].damping, seen[0].pixel_prior_one) == (0.3, 0.2)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--damping", "1"), "damping must lie in [0, 1)"),
+        (("--damping", "-0.1"), "damping must lie in [0, 1)"),
+        (("--prior", "0"), "pixel_prior_one must lie in (0, 1)"),
+        (("--prior", "1.5"), "pixel_prior_one must lie in (0, 1)"),
+    ],
+)
+def test_decode_flags_out_of_range_exit_code(tmp_path, glyph_pgm, capsys, flags, message):
+    args = _decode_args(tmp_path, glyph_pgm, *flags)
+    out = tmp_path / "d.pgm"
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(codedgi.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "codedgi", "bound", "--k", "64", "--n", "128", "--snr-db", "10"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "# schema: codedgi.bound-sweep.v1"

@@ -194,3 +194,11 @@ class TestSerialization:
             path.write_text(text)
             with pytest.raises(ValueError):
                 load_generator(path)
+
+    def test_header_shape_rejected(self, tmp_path):
+        # N < K (with the matching column count N - K = -1); K = 0
+        for text in ("3 2 -1 0\n", "0 2 2 0\n\n\n"):
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError, match="1 <= K <= N"):
+                load_generator(path)

@@ -1,5 +1,6 @@
 """Harness: configs, seed mixing, experiment artifacts, manifest replay."""
 
+import json
 import os
 import subprocess
 import sys
@@ -310,13 +311,46 @@ class TestManifestReplay:
                 assert f"point{p}_trial{t} = {derive_trial_seed(7, t, p)}" in text
 
 
+_SCIPY_PROBE = """
+import json, sys, tempfile
+from dataclasses import replace
+
+import codedgi, codedgi.harness, codedgi.cli
+from codedgi.harness import RunConfig, run_experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = {"linalg_after_import": "scipy.linalg" in sys.modules, "after_import": scipy_modules()}
+with tempfile.TemporaryDirectory() as tmp:
+    base = RunConfig(width=8, height=8, degree=4, trials=1, snr_db_list=(10.0,),
+                     multipliers=(2,), gray_bits=1, seed=3, out=tmp)
+    for experiment in ("sweep-ber", "sweep-sampling", "grayscale"):
+        for mode in ("sum-constraint", "gf2"):
+            run_experiment(replace(base, experiment=experiment, decoder_mode=mode))
+    codedgi.cli.main(["bound", "--k", "64", "--n", "128", "--snr-db", "0", "10",
+                      "--out", tmp + "/bound.csv"])
+    report["after_runs"] = scipy_modules()
+    run_experiment(replace(base, experiment="compare"))
+report["after_compare"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
 def test_import_leaves_scipy_linalg_unloaded():
-    # scipy.linalg costs about 50 ms to import; only the pseudo-inverse uses it,
-    # so importing the package and the harness must not load it
+    # importing scipy costs about 0.25 s cold; only the pseudo-inverse uses it
+    # (scipy.linalg, loaded lazily), so importing the package, the harness and
+    # the CLI, running every other experiment and the bound command must load
+    # no scipy module at all
     src = str(Path(codedgi.__file__).resolve().parents[1])
-    probe = "import sys, codedgi, codedgi.harness; print('scipy.linalg' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _SCIPY_PROBE], env=env, capture_output=True, text=True,
+        check=True,
     )
-    assert out.stdout.strip() == "False"
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert report["linalg_after_import"] is False
+    assert report["after_import"] == []
+    assert report["after_runs"] == []
+    assert "scipy.linalg" in report["after_compare"]
+    assert "scipy.special" not in report["after_compare"]
