@@ -25,7 +25,6 @@ from .forward import (
     random_speckle,
     sense,
     snr_db_to_linear,
-    snr_linear_to_db,
     transmit,
 )
 from .decoder import (
@@ -64,6 +63,5 @@ from .metrics import (
     mean_abs_error,
     normalize,
     psnr,
-    required_frames,
 )
 from .scenes import builtin_scene

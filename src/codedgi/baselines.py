@@ -20,8 +20,6 @@ import numpy as np
 
 from .forward import IlluminationEnsemble, Measurement, effective_amplitudes
 
-METHODS = ("cgi", "dgi", "pinv", "ldpc")
-
 # The normal equations square the system's condition number, so their Cholesky
 # solve loses about log10(1/rcond) digits, rcond being the Gram's reciprocal
 # condition number. Below 1e-8 (cond(A) above about 1e4) more than half of
@@ -32,14 +30,11 @@ GRAM_RCOND_MIN = 1e-8
 @dataclass
 class Reconstruction:
     image: np.ndarray  # length K, unnormalized
-    method: str
 
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.float64)
         if not np.isfinite(self.image).all():
             raise ValueError("reconstruction contains non-finite values")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
 
 
 def _check_lengths(ens: IlluminationEnsemble, m: Measurement) -> None:
@@ -64,7 +59,7 @@ def cgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction
     """Ensemble-covariance estimator: (1/N) sum (R_n - RBar)(A_n - ABar)."""
     _check_lengths(ens, m)
     r = m.bucket
-    return Reconstruction(image=_centred_correlation(ens, r - r.mean()), method="cgi")
+    return Reconstruction(image=_centred_correlation(ens, r - r.mean()))
 
 
 def dgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
@@ -76,7 +71,7 @@ def dgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction
     if s_mean == 0:
         raise ValueError("all patterns are empty; differential term undefined")
     diff = r - (r.mean() / s_mean) * s
-    return Reconstruction(image=_centred_correlation(ens, diff), method="dgi")
+    return Reconstruction(image=_centred_correlation(ens, diff))
 
 
 def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
@@ -109,9 +104,9 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
         rcond, _ = lapack.dpocon(chol, np.linalg.norm(gram, 1))
         if rcond > GRAM_RCOND_MIN:
             x, _ = lapack.dpotrs(chol, system.T @ m.bucket)
-            return Reconstruction(image=x, method="pinv")
+            return Reconstruction(image=x)
     x, *_ = scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")
-    return Reconstruction(image=x, method="pinv")
+    return Reconstruction(image=x)
 
 
 def otsu_threshold(values: np.ndarray) -> float:

@@ -16,8 +16,7 @@ Special functions come from the standard library (`math.erfc`,
 a run that needs no pseudo-inverse baseline never loads it.
 
 The erfc argument counts 1+j affected symbols (the wrong pixel's own symbol
-plus j flipped parity symbols) at uniform symbol energy; a strategy switch
-drops the +1 for sensitivity analysis.
+plus j flipped parity symbols) at uniform symbol energy.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ import numpy as np
 
 from .codes import DegreeDistribution
 from .forward import ChannelParams
-
-ENERGY_RULES = ("error-plus-parity", "parity-only")
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -123,31 +119,21 @@ def binom_weight_sum(params: BoundParams) -> float:
     return float(_binom_weights(params).sum())
 
 
-def _error_mixture(
-    params: BoundParams, weights: np.ndarray, energy_rule: str = "error-plus-parity"
-) -> float:
-    """0.5 * sum_j weights[j] * erfc(sqrt(symbols_j Es / (Rc N0)))."""
-    j = np.arange(len(weights))
-    symbols = j + 1 if energy_rule == "error-plus-parity" else j
-    args = symbols * params.es / (params.rate * params.n0)
+def _error_mixture(params: BoundParams, weights: np.ndarray) -> float:
+    """0.5 * sum_j weights[j] * erfc(sqrt((1 + j) Es / (Rc N0)))."""
+    args = np.arange(1, len(weights) + 1) * params.es / (params.rate * params.n0)
     erfcs = np.array([math.erfc(x) for x in np.sqrt(args).tolist()])
     return float(0.5 * np.sum(weights * erfcs))
 
 
-def decoding_error_term(
-    params: BoundParams, energy_rule: str = "error-plus-parity"
-) -> float:
+def decoding_error_term(params: BoundParams) -> float:
     """Binomial mixture of AWGN pairwise errors over flipped-parity counts j."""
-    if energy_rule not in ENERGY_RULES:
-        raise ValueError(f"energy_rule must be one of {ENERGY_RULES}")
-    return _error_mixture(params, _binom_weights(params), energy_rule)
+    return _error_mixture(params, _binom_weights(params))
 
 
-def ber_lower_bound(
-    params: BoundParams, energy_rule: str = "error-plus-parity"
-) -> float:
+def ber_lower_bound(params: BoundParams) -> float:
     """Fading floor plus decoding-error term; result in [0, 1]."""
-    return rayleigh_ber(params.gamma) + decoding_error_term(params, energy_rule)
+    return rayleigh_ber(params.gamma) + decoding_error_term(params)
 
 
 def bound_sweep(

@@ -79,6 +79,11 @@ def _cmd_sense(args) -> int:
 
 def _cmd_decode(args) -> int:
     g = load_generator(args.code)
+    if args.width * args.height != g.k_info:
+        raise ValueError(
+            f"--width {args.width} x --height {args.height} is "
+            f"{args.width * args.height} pixels, but the code has K = {g.k_info}"
+        )
     ens = patterns_from_generator(g)
     meas = load_measurement_csv(args.meas)
     options = BpOptions(

@@ -4,6 +4,13 @@ The generator has the form G = [I | P] where P is a random sparse K x (N-K)
 binary block. Column weights of P are drawn from a degree distribution, and
 each column support is a uniform random subset of the K information positions.
 Matrices are deterministic for a fixed seed (numpy PCG64).
+
+Every sum over index rows (parity symbols, syndromes, bucket signals, the
+decoders' checks) goes through one sparse-row kernel: `degree_groups` stacks
+the rows of each size into a (B, d) index matrix, and `group_sums` reduces
+each group along its rows. That is the mat-vec A v of a 0/1 matrix given by
+its row supports; its transpose A^T s is one `np.bincount` over the same
+index matrices.
 """
 
 from __future__ import annotations
@@ -153,6 +160,37 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
     )
 
 
+def degree_groups(rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(row ids, (B, d) index matrix) for each nonempty row size, in increasing d.
+
+    An empty row (a measurement with no lit pixels) belongs to no group.
+    """
+    sizes = np.array([len(row) for row in rows], dtype=np.int64)
+    if not sizes.any():
+        return []
+    flat = np.concatenate(rows).astype(np.int64, copy=False)
+    starts = np.cumsum(sizes) - sizes
+    groups = []
+    for d in np.unique(sizes[sizes > 0]):
+        ids = np.flatnonzero(sizes == d)
+        groups.append((ids, flat[starts[ids, None] + np.arange(d)]))
+    return groups
+
+
+def group_sums(groups, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Sum of `values` over each row of `degree_groups`, 0 for an empty row.
+
+    Each row of a C-contiguous (B, d) gather is summed as `values[row].sum()`
+    sums it (pairwise), so float results match a per-row loop bit for bit.
+    """
+    values = np.asarray(values)
+    # the dtype `sum` gives: float stays float, uint8 -> uint64, bool -> int64
+    out = np.zeros(n_rows, dtype=np.zeros(1, values.dtype).sum().dtype)
+    for ids, idx in groups:
+        out[ids] = values[idx].sum(axis=1)
+    return out
+
+
 def encode(g: GeneratorMatrix, pixels: np.ndarray) -> np.ndarray:
     """Systematic encode: output[:K] = pixels, output[K+j] = XOR over column j."""
     pixels = np.asarray(pixels)
@@ -165,8 +203,7 @@ def encode(g: GeneratorMatrix, pixels: np.ndarray) -> np.ndarray:
     bits = pixels.astype(np.uint8)
     out = np.empty(g.n_total, dtype=np.uint8)
     out[: g.k_info] = bits
-    for j, col in enumerate(g.parity_columns):
-        out[g.k_info + j] = bits[col].sum() & 1
+    out[g.k_info :] = group_sums(degree_groups(g.parity_columns), bits, g.num_parity) & 1
     return out
 
 
@@ -185,8 +222,8 @@ def syndrome(h: ParityCheckMatrix, codeword: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"codeword has length {codeword.shape}, expected ({h.n_total},)"
         )
-    bits = codeword.astype(np.uint8)
-    return np.array([bits[row].sum() & 1 for row in h.rows], dtype=np.uint8)
+    sums = group_sums(degree_groups(h.rows), codeword.astype(np.uint8), len(h.rows))
+    return (sums & 1).astype(np.uint8)
 
 
 def save_generator(g: GeneratorMatrix, path) -> None:

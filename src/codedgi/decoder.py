@@ -1,8 +1,10 @@
 """Belief-propagation reconstruction from bucket measurements.
 
 Both decoders run the same sum-product core on a bipartite graph: the checks
-are batched by degree with `_by_degree`, messages live in plain per-group
-arrays, and every variable pass sums its incoming logits with `_totals`.
+are batched by degree with `codes.degree_groups`, messages live in plain
+per-group arrays, and every variable pass sums its incoming logits with
+`_totals`. Row sums over the checks (the residual of decode_sum_bp, the
+syndrome test of decode_gf2_bp) go through `codes.group_sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through a
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import ParityCheckMatrix
+from .codes import ParityCheckMatrix, degree_groups, group_sums
 from .forward import (
     ChannelParams,
     IlluminationEnsemble,
@@ -145,21 +147,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_degree(rows) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row ids, (B, d) index matrix) for each nonempty row size, in increasing d.
-
-    An empty row (a measurement with no lit pixels) constrains nothing.
-    """
-    ids_of: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        if len(row):
-            ids_of.setdefault(len(row), []).append(i)
-    return [
-        (np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]).astype(np.int64))
-        for _, ids in sorted(ids_of.items())
-    ]
-
-
 def _totals(prior, groups, msgs, n: int) -> np.ndarray:
     """Prior plus every incoming message, summed one group at a time."""
     total = np.full(n, prior, dtype=np.float64)
@@ -256,7 +243,7 @@ def decode_sum_bp(
     k = ens.k_pixels
     ch = m.channel
     amp = effective_amplitudes(m)
-    groups = _by_degree(ens.patterns)
+    groups = degree_groups(ens.patterns)
     p2m = [np.full(px.shape, opts.pixel_prior_one) for _, px in groups]
     liks = [
         _likelihood_table(m.bucket[ids], amp[ids], px.shape[1], ch) for ids, px in groups
@@ -295,10 +282,7 @@ def decode_sum_bp(
 
     pixels = hard.astype(np.uint8)
     # residual in count units, using the decoder's amplitude model
-    predicted = np.zeros(m.n_shots)
-    for ids, px in groups:
-        counts = pixels[px].sum(axis=1).astype(np.float64)
-        predicted[ids] = amp[ids] * math.sqrt(ch.es) * counts
+    predicted = amp * math.sqrt(ch.es) * group_sums(groups, pixels, m.n_shots)
     residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(ch.es))
 
     diag = DecodeDiagnostics(
@@ -323,7 +307,7 @@ def decode_gf2_bp(
     if llrs.shape != (h.n_total,):
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
 
-    groups = _by_degree(h.rows)
+    groups = degree_groups(h.rows)
     c2v = [np.zeros(vr.shape) for _, vr in groups]
     total = llrs.copy()
     hard = total < 0.0
@@ -347,7 +331,7 @@ def decode_gf2_bp(
         total = _totals(llrs, groups, c2v, h.n_total)
         hard = total < 0.0
         iterations = iteration
-        if all((hard[vr].sum(axis=1) % 2 == 0).all() for _, vr in groups):
+        if not (group_sums(groups, hard, len(h.rows)) & 1).any():
             converged = True
             break
 

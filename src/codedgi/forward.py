@@ -7,8 +7,10 @@ and adds real Gaussian noise of variance N0/2:
     R_n = |h_n| * sqrt(Es) * sum_{i in pattern_n} delta_i + w_n
 
 `sense` is `pattern_sums` followed by `transmit`, the channel; the GF(2)
-path sends codeword bits through the same `transmit`.
-`ChannelParams.at_snr_db` turns an SNR in dB into a channel.
+path sends codeword bits through the same `transmit`. `pattern_sums` runs
+the sparse-row kernel of `codes` (`degree_groups`, `group_sums`) on the
+patterns' index lists. `ChannelParams.at_snr_db` turns an SNR in dB into a
+channel.
 
 Fading magnitudes are Rayleigh with unit second moment (the magnitude of a
 circularly-symmetric unit-variance complex Gaussian); with fading off they
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorMatrix
+from .codes import GeneratorMatrix, degree_groups, group_sums
 
 FADING_MODES = ("none", "rayleigh")
 
@@ -72,12 +74,6 @@ class IlluminationEnsemble:
 
     def pattern_sizes(self) -> np.ndarray:
         return np.array([len(p) for p in self.patterns], dtype=np.int64)
-
-    def duty_ratio(self) -> float:
-        """Lit fraction averaged over the whole ensemble."""
-        if not self.patterns:
-            raise ValueError("empty ensemble")
-        return float(self.pattern_sizes().sum()) / (self.n_patterns * self.k_pixels)
 
     def lit_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(pattern, pixel) index pairs of every lit entry, in pattern order."""
@@ -183,8 +179,7 @@ def pattern_sums(ens: IlluminationEnsemble, scene: SceneImage) -> np.ndarray:
         raise ValueError(
             f"scene has {scene.k_pixels} pixels, ensemble expects {ens.k_pixels}"
         )
-    refl = scene.reflectance
-    return np.array([refl[pat].sum() for pat in ens.patterns], dtype=np.float64)
+    return group_sums(degree_groups(ens.patterns), scene.reflectance, ens.n_patterns)
 
 
 def transmit(sums, ch: ChannelParams, seed: int) -> Measurement:
@@ -235,12 +230,6 @@ def effective_amplitudes(m: Measurement) -> np.ndarray:
 
 def snr_db_to_linear(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
-
-
-def snr_linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError("linear SNR must be positive")
-    return 10.0 * math.log10(x)
 
 
 def save_measurement_csv(m: Measurement, path) -> None:

@@ -175,7 +175,8 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, tuple):
-                value = ",".join(f"{v:g}" for v in value)
+                # str() is the shortest text that parses back to the same float
+                value = ",".join(str(v) for v in value)
             elif isinstance(value, bool):
                 value = int(value)
             lines.append(f"{f.name} = {value}")
@@ -252,7 +253,11 @@ def _coerce(key: str, value: str, default):
         if isinstance(default, tuple):
             items = [v.strip() for v in value.split(",") if v.strip()]
             if all(isinstance(d, int) for d in default) and default:
-                return tuple(int(float(v)) for v in items)
+                # integral float text such as "1e+06" is an int; "1.5" is an error
+                numbers = [float(v) for v in items]
+                if not all(x.is_integer() for x in numbers):
+                    raise ValueError("not an integer list")
+                return tuple(int(x) for x in numbers)
             return tuple(float(v) for v in items)
         return value
     except (KeyError, ValueError) as exc:

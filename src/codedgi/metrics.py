@@ -101,10 +101,3 @@ def grayscale_stack(stack: FrameStack) -> GrayImage:
         height=stack.height,
         values=total.astype(np.float64) / stack.count,
     )
-
-
-def required_frames(bits: int) -> int:
-    """Frames needed for an n-bit gray scale: 2**n."""
-    if bits < 1:
-        raise ValueError("bit depth must be >= 1")
-    return 2**bits

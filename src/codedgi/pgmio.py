@@ -1,4 +1,4 @@
-"""PGM (P2 ascii / P5 binary) image I/O, maxval 255.
+"""PGM image I/O, maxval 255: writes P5 (binary), reads P5 and P2 (ascii).
 
 Scenes and reconstructions use reflectance = gray/255. Writing is
 deterministic, so saved images are byte-stable across runs.
@@ -11,27 +11,17 @@ import numpy as np
 MAXVAL = 255
 
 
-def write_pgm(path, width: int, height: int, values01: np.ndarray, binary: bool = True) -> None:
-    """Save values in [0,1] as 8-bit PGM; gray = round(255 * v)."""
+def write_pgm(path, width: int, height: int, values01: np.ndarray) -> None:
+    """Save values in [0,1] as 8-bit binary PGM (P5); gray = round(255 * v)."""
     v = np.asarray(values01, dtype=np.float64)
     if v.shape != (width * height,):
         raise ValueError("values length must equal width*height")
     if v.min() < 0 or v.max() > 1:
         raise ValueError("values must lie in [0, 1] before saving")
     gray = np.rint(v * MAXVAL).astype(np.uint8)
-    header = f"P5\n{width} {height}\n{MAXVAL}\n" if binary else f"P2\n{width} {height}\n{MAXVAL}\n"
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(gray.tobytes())
-    else:
-        rows = [
-            " ".join(str(int(g)) for g in gray[r * width : (r + 1) * width])
-            for r in range(height)
-        ]
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(header)
-            fh.write("\n".join(rows) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n{MAXVAL}\n".encode("ascii"))
+        fh.write(gray.tobytes())
 
 
 def _tokens_skipping_comments(data: bytes):

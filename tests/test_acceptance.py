@@ -59,7 +59,8 @@ def report(cid: str, name: str, ok: bool) -> bool:
 
 
 def read_csv_rows(path):
-    lines = open(path, encoding="utf-8").read().splitlines()
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     header = lines[1].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[2:]]
 

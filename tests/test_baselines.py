@@ -314,7 +314,7 @@ class TestOtsu:
         near = np.full(10, 0.3)
         near[4] += 2e-16
         for image in (np.full(10, 0.7), near):
-            recon = Reconstruction(image=image, method="cgi")
+            recon = Reconstruction(image=image)
             assert not binarize(recon).any()
 
     def test_deterministic(self):
@@ -324,6 +324,4 @@ class TestOtsu:
 
     def test_reconstruction_validation(self):
         with pytest.raises(ValueError):
-            Reconstruction(image=np.array([np.inf]), method="cgi")
-        with pytest.raises(ValueError):
-            Reconstruction(image=np.zeros(4), method="magic")
+            Reconstruction(image=np.array([np.inf]))

@@ -204,13 +204,6 @@ class TestBerLowerBound:
             p = params(n0=10 ** (-snr_db / 10))
             assert 0.0 <= ber_lower_bound(p) <= 1.0
 
-    def test_energy_rule_switch(self):
-        # dropping the error pixel's own symbol raises every erfc term
-        p = params(n0=2.0)
-        assert decoding_error_term(p, "parity-only") > decoding_error_term(p)
-        with pytest.raises(ValueError):
-            decoding_error_term(p, "bogus")
-
     def test_sweep_rows(self):
         rows = bound_sweep(64, 128, DegreeDistribution.regular(4), [0.0, 10.0])
         assert [r["snr_db"] for r in rows] == [0.0, 10.0]

@@ -43,7 +43,7 @@ def test_encode_command(tmp_path, glyph_pgm):
     out = str(tmp_path / "bits.txt")
     assert main(["gen-code", "--k", "64", "--n", "96", "--dist", "2", "--out", code]) == 0
     assert main(["encode", "--code", code, "--scene", glyph_pgm, "--out", out]) == 0
-    bits = open(out).read().strip()
+    bits = Path(out).read_text().strip()
     assert len(bits) == 96 and set(bits) <= {"0", "1"}
 
 
@@ -51,7 +51,7 @@ def test_bound_command(tmp_path, capsys):
     out = str(tmp_path / "bound.csv")
     assert main(["bound", "--k", "64", "--n", "128", "--dist", "8",
                  "--snr-db", "0", "10", "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[1] == "snr_db,gamma,p_ray,p_e,p_b"
     assert len(lines) == 4
 
@@ -125,6 +125,15 @@ def test_empty_sweep_exits_before_run_dir(tmp_path, capsys, experiment, line):
     out = tmp_path / "out"
     assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fractional_integer_list_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\nmultipliers = 1.5,2.7\n")
+    out = tmp_path / "out"
+    assert main(["sweep-sampling", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "multipliers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -207,6 +216,21 @@ def test_decode_flags_out_of_range_exit_code(tmp_path, glyph_pgm, capsys, flags,
     out = tmp_path / "d.pgm"
     assert main([*args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_decode_checks_shape_before_decoding(tmp_path, glyph_pgm, capsys, monkeypatch):
+    args = _decode_args(tmp_path, glyph_pgm)
+    args[args.index("--width") + 1] = args[args.index("--height") + 1] = "4"
+
+    def no_decode(*_):
+        raise AssertionError("decode ran before the shape check")
+
+    monkeypatch.setattr(codedgi.cli, "decode_sum_bp", no_decode)
+    out = tmp_path / "d.pgm"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--width" in err and "--height" in err and "K = 64" in err
     assert not out.exists()
 
 

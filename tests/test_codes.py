@@ -17,6 +17,7 @@ from codedgi import (
     save_generator,
     syndrome,
 )
+from codedgi.codes import degree_groups, group_sums
 
 
 def toy_generator():
@@ -27,6 +28,78 @@ def toy_generator():
         seed=0,
         parity_columns=[np.array([0, 1]), np.array([1, 2])],
     )
+
+
+def _by_degree(rows):
+    """The per-row dict loop that `degree_groups` replaced, kept as its reference."""
+    ids_of = {}
+    for i, row in enumerate(rows):
+        if len(row):
+            ids_of.setdefault(len(row), []).append(i)
+    return [
+        (np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]).astype(np.int64))
+        for _, ids in sorted(ids_of.items())
+    ]
+
+
+def ragged_rows(seed, n_cols=300):
+    """Index rows of mixed sizes: empty, d = 1, 8, 9, 33, 128 and speckle-like."""
+    rng = np.random.default_rng(seed)
+    sizes = [0, 1, 8, 9, 33, 128] * 6 + rng.binomial(n_cols, 0.15, 40).tolist()
+    rng.shuffle(sizes)
+    return [np.sort(rng.choice(n_cols, size=d, replace=False)) for d in sizes]
+
+
+def row_values(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gray":  # non-dyadic k/255 levels, where summation order shows
+        return rng.integers(0, 256, n) / 255.0
+    if kind == "bits":
+        return rng.integers(0, 2, n).astype(np.uint8)
+    return rng.random(n) < 0.3
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_groups_match_per_row_loop(self, seed):
+        rows = ragged_rows(seed)
+        got, want = degree_groups(rows), _by_degree(rows)
+        assert len(got) == len(want)
+        for (ids, idx), (want_ids, want_idx) in zip(got, want):
+            assert np.array_equal(ids, want_ids)
+            assert idx.dtype == want_idx.dtype and idx.flags.c_contiguous
+            assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("kind", ["gray", "bits", "bools"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sums_match_per_row_loop(self, kind, seed):
+        rows = ragged_rows(seed)
+        values = row_values(kind, 300, seed + 100)
+        got = group_sums(degree_groups(rows), values, len(rows))
+        want = np.array([values[row].sum() for row in rows])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_no_rows_and_empty_rows(self):
+        assert degree_groups([]) == []
+        empty = [np.array([], dtype=np.int64)] * 3
+        assert degree_groups(empty) == []
+        assert np.array_equal(group_sums([], np.ones(4), 3), np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_encode_and_syndrome_match_per_row_loops(self, seed):
+        dist = DegreeDistribution(((1, 0.2), (8, 0.3), (9, 0.2), (33, 0.3)))
+        g = build_generator(CodeSpec(64, 200, dist, seed=seed))
+        g.parity_columns[5] = np.array([], dtype=np.int64)  # a loaded file may hold one
+        h = derive_parity_check(g)
+        rng = np.random.default_rng(seed)
+        pixels = rng.integers(0, 2, 64)
+        parity = [pixels[col].sum() & 1 for col in g.parity_columns]
+        assert encode(g, pixels)[64:].tolist() == parity
+        word = rng.integers(0, 2, 200)
+        got = syndrome(h, word)
+        assert got.dtype == np.uint8
+        assert got.tolist() == [word[row].sum() & 1 for row in h.rows]
 
 
 class TestDegreeDistribution:

@@ -94,6 +94,12 @@ class TestConfigParsing:
                             ("No", False), ("OFF", False), ("0", False), ("false", False)):
             assert parse_config_text(f"baseline_on_coded = {word}\n").baseline_on_coded is value
 
+    def test_integer_lists_reject_fractions(self):
+        with pytest.raises(ConfigError, match="multipliers"):
+            parse_config_text("multipliers = 1.5,2.7\n")
+        # old manifests wrote integral floats in exponent form
+        assert parse_config_text("multipliers = 1e+06,2.0\n").multipliers == (1000000, 2)
+
     @pytest.mark.parametrize("text", ["maybe", "ture", "2", ""])
     def test_bool_accepts_only_known_words(self, text):
         with pytest.raises(ConfigError, match="bad value"):
@@ -148,14 +154,14 @@ class TestBerSweep:
     def test_artifacts_and_schema(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "run"))
         run_dir = run_experiment(cfg)
-        csv = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
+        csv = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
         assert csv[0] == "# schema: codedgi.ber-sweep.v1"
         assert csv[1] == "snr_db,ber_mean,ber_stderr,bound,trials"
         assert len(csv) == 2 + 2  # one row per SNR point
         for line in csv[2:]:
             parts = line.split(",")
             assert len(parts) == 5 and parts[4] == "2"
-        diag = open(os.path.join(run_dir, "decode_diagnostics.csv")).read().splitlines()
+        diag = Path(run_dir, "decode_diagnostics.csv").read_text().splitlines()
         assert diag[1] == "point,trial,iterations_run,converged,residual,unpinned_pixel_count"
         assert len(diag) == 2 + 4
         assert os.path.exists(os.path.join(run_dir, "manifest.txt"))
@@ -176,7 +182,7 @@ class TestBerSweep:
         # bound with an SNR path of its own differs in the last digit there
         cfg = tiny_cfg(out=str(tmp_path / "bc"), snr_db_list=(5.0, 6.0, 8.5, 12.0))
         run_dir = run_experiment(cfg)
-        lines = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
+        lines = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
         dist = DegreeDistribution.regular(4)
         rows = bound_sweep(64, 128, dist, cfg.snr_db_list)
         assert len(lines[2:]) == len(rows) == 4
@@ -209,7 +215,7 @@ class TestOtherExperiments:
             experiment="sweep-sampling", out=str(tmp_path / "s"), multipliers=(1, 2)
         )
         run_dir = run_experiment(cfg)
-        lines = open(os.path.join(run_dir, "sampling_sweep.csv")).read().splitlines()
+        lines = Path(run_dir, "sampling_sweep.csv").read_text().splitlines()
         assert lines[0] == "# schema: codedgi.sampling-sweep.v1"
         assert len(lines) == 2 + 2
         for m in (1, 2):
@@ -218,7 +224,7 @@ class TestOtherExperiments:
     def test_compare_artifacts(self, tmp_path):
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "c"), snr_db=10.0)
         run_dir = run_experiment(cfg)
-        lines = open(os.path.join(run_dir, "compare.csv")).read().splitlines()
+        lines = Path(run_dir, "compare.csv").read_text().splitlines()
         assert lines[1] == "method,trial,ber,psnr"
         assert len(lines) == 2 + 4 * cfg.trials  # one row per (method, trial)
         for method in ("ldpc", "cgi", "dgi", "pinv"):
@@ -230,7 +236,7 @@ class TestOtherExperiments:
             snr_db=14.0, gray_bits=2,
         )
         run_dir = run_experiment(cfg)
-        lines = open(os.path.join(run_dir, "grayscale.csv")).read().splitlines()
+        lines = Path(run_dir, "grayscale.csv").read_text().splitlines()
         assert lines[1] == "frames,mae"
         assert [l.split(",")[0] for l in lines[2:]] == ["1", "2", "4"]
         assert os.path.exists(os.path.join(run_dir, "gray_stack_snr14_n4.pgm"))
@@ -253,7 +259,7 @@ def _tree_bytes(run_dir, skip=("manifest.txt",)):
     for name in sorted(os.listdir(run_dir)):
         if name in skip:
             continue
-        out[name] = open(os.path.join(run_dir, name), "rb").read()
+        out[name] = Path(run_dir, name).read_bytes()
     return out
 
 
@@ -268,6 +274,14 @@ class TestManifestReplay:
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "first"), snr_db=10.0)
         first = run_experiment(cfg)
         second = replay(os.path.join(first, "manifest.txt"), str(tmp_path / "second"))
+        assert _tree_bytes(first) == _tree_bytes(second)
+
+    def test_replay_keeps_full_snr_precision(self, tmp_path):
+        cfg = tiny_cfg(out=str(tmp_path / "first"), snr_db_list=(3.14159265,), trials=1)
+        first = run_experiment(cfg)
+        manifest = os.path.join(first, "manifest.txt")
+        assert read_manifest_config(manifest) == cfg
+        second = replay(manifest, str(tmp_path / "second"))
         assert _tree_bytes(first) == _tree_bytes(second)
 
     def test_rng_wiring_frozen(self, tmp_path):
@@ -289,14 +303,14 @@ class TestManifestReplay:
         }
         for mode, (diag_cols, ber_means) in expect.items():
             run_dir = run_experiment(tiny_cfg(out=str(tmp_path / mode), decoder_mode=mode))
-            diag = open(os.path.join(run_dir, "decode_diagnostics.csv")).read().splitlines()
+            diag = Path(run_dir, "decode_diagnostics.csv").read_text().splitlines()
             assert [tuple(l.split(",")[2:4]) for l in diag[2:]] == diag_cols, mode
-            sweep = open(os.path.join(run_dir, "ber_sweep.csv")).read().splitlines()
+            sweep = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
             assert [l.split(",")[1] for l in sweep[2:]] == ber_means, mode
         run_dir = run_experiment(
             tiny_cfg(experiment="compare", out=str(tmp_path / "c"), snr_db=10.0)
         )
-        lines = open(os.path.join(run_dir, "compare.csv")).read().splitlines()
+        lines = Path(run_dir, "compare.csv").read_text().splitlines()
         assert [l.split(",")[2] for l in lines[2:]] == [
             "0.203125", "0.21875", "0.25", "0.328125",
             "0.234375", "0.265625", "0.296875", "0.34375",
@@ -305,7 +319,7 @@ class TestManifestReplay:
     def test_manifest_lists_all_seeds(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "m2"))
         run_dir = run_experiment(cfg)
-        text = open(os.path.join(run_dir, "manifest.txt")).read()
+        text = Path(run_dir, "manifest.txt").read_text()
         for p in range(2):
             for t in range(2):
                 assert f"point{p}_trial{t} = {derive_trial_seed(7, t, p)}" in text

@@ -13,7 +13,6 @@ from codedgi import (
     mean_abs_error,
     normalize,
     psnr,
-    required_frames,
 )
 
 
@@ -127,16 +126,6 @@ class TestGrayscaleStack:
             FrameStack(2, 2, [np.zeros(3)])
         with pytest.raises(ValueError):
             FrameStack(2, 1, [np.array([0.5, 1.0])])
-
-
-class TestRequiredFrames:
-    @pytest.mark.parametrize("bits,count", [(5, 32), (1, 2), (8, 256)])
-    def test_powers_of_two(self, bits, count):
-        assert required_frames(bits) == count
-
-    def test_positive_bits_required(self):
-        with pytest.raises(ValueError):
-            required_frames(0)
 
 
 class TestMeanAbsError:
