@@ -7,6 +7,7 @@ from .codes import (
     DegreeDistribution,
     GeneratorMatrix,
     ParityCheckMatrix,
+    SparseRows,
     build_generator,
     derive_parity_check,
     encode,

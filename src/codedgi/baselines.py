@@ -1,7 +1,7 @@
 """Classical ghost-imaging reconstructions for comparison runs.
 
 CGI and DGI are model-free ensemble correlators on the raw bucket signal,
-computed from the patterns' index lists. The pseudo-inverse solves the
+computed from the patterns' (row, col) entries. The pseudo-inverse solves the
 linear system with known fading folded into the rows. A well-conditioned
 system goes through a Cholesky factor of its Gram matrix (the normal
 equations); one whose Gram is singular or has an estimated reciprocal
@@ -38,18 +38,18 @@ class Reconstruction:
 
 
 def _check_lengths(ens: IlluminationEnsemble, m: Measurement) -> None:
-    if ens.n_patterns != m.n_shots:
+    if len(ens.patterns) != m.n_shots:
         raise ValueError(
-            f"ensemble has {ens.n_patterns} patterns, measurement {m.n_shots}"
+            f"ensemble has {len(ens.patterns)} patterns, measurement {m.n_shots}"
         )
-    if ens.n_patterns == 0:
+    if len(ens.patterns) == 0:
         raise ValueError("empty ensemble")
 
 
 def _centred_correlation(ens: IlluminationEnsemble, c: np.ndarray) -> np.ndarray:
     """(1/N) c^T (A - ABar) without forming the dense (N, K) matrix A."""
-    rows, pixels = ens.lit_entries()
-    n = ens.n_patterns
+    rows, pixels = ens.patterns.entries()
+    n = len(ens.patterns)
     lit_fraction = np.bincount(pixels, minlength=ens.k_pixels) / n
     hits = np.bincount(pixels, weights=c[rows], minlength=ens.k_pixels)
     return (hits - lit_fraction * c.sum()) / n
@@ -66,7 +66,7 @@ def dgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction
     """Differential estimator: bucket recentered by total pattern intensity."""
     _check_lengths(ens, m)
     r = m.bucket
-    s = ens.pattern_sizes().astype(np.float64)
+    s = ens.patterns.sizes.astype(np.float64)
     s_mean = s.mean()
     if s_mean == 0:
         raise ValueError("all patterns are empty; differential term undefined")
@@ -95,8 +95,8 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     from scipy.linalg import lapack
 
     _check_lengths(ens, m)
-    rows, pixels = ens.lit_entries()
-    system = np.zeros((ens.n_patterns, ens.k_pixels))
+    rows, pixels = ens.patterns.entries()
+    system = np.zeros((len(ens.patterns), ens.k_pixels))
     system[rows, pixels] = (effective_amplitudes(m) * math.sqrt(m.channel.es))[rows]
     gram = system.T @ system
     chol, info = lapack.dpotrf(gram)

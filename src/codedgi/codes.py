@@ -5,19 +5,86 @@ binary block. Column weights of P are drawn from a degree distribution, and
 each column support is a uniform random subset of the K information positions.
 Matrices are deterministic for a fixed seed (numpy PCG64).
 
-Every sum over index rows (parity symbols, syndromes, bucket signals, the
-decoders' checks) goes through one sparse-row kernel: `degree_groups` stacks
-the rows of each size into a (B, d) index matrix, and `group_sums` reduces
-each group along its rows. That is the mat-vec A v of a 0/1 matrix given by
-its row supports; its transpose A^T s is one `np.bincount` over the same
-index matrices.
+The parity block P, the parity-check matrix H and the illumination patterns
+are all sparse 0/1 matrices given by the supports of their rows, and all are
+`SparseRows`: the supports stored back to back with the row lengths. Each
+builds its degree-grouped layout once, on first use, stacking the rows of
+each size into a (B, d) index matrix. Every row sum (parity symbols,
+syndromes, bucket signals, the decoders' checks) is `SparseRows.sums`, the
+mat-vec A v; its transpose A^T s is one `np.bincount` over the same index
+matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+
+class SparseRows:
+    """A sparse 0/1 matrix by its row supports: `flat` holds them back to back.
+
+    Row i is flat[start_i : start_i + sizes[i]]. Both arrays are read-only
+    views, so the row views and the degree-grouped layout, each built at most
+    once on first use, cannot go stale.
+    """
+
+    def __init__(self, flat, sizes):
+        self.flat = np.asarray(flat, dtype=np.int64).view()
+        self.sizes = np.asarray(sizes, dtype=np.int64).view()
+        if (self.sizes < 0).any() or self.sizes.sum() != len(self.flat):
+            raise ValueError("row sizes must be non-negative and sum to len(flat)")
+        self.flat.flags.writeable = self.sizes.flags.writeable = False
+        self._rows = None
+        self._groups = None
+
+    @classmethod
+    def of(cls, rows) -> "SparseRows":
+        """From a sequence of index arrays, one per row."""
+        sizes = [len(row) for row in rows]
+        flat = np.concatenate(rows) if sizes else np.empty(0, np.int64)
+        return cls(flat, sizes)
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __iter__(self):
+        if self._rows is None:
+            ends = np.cumsum(self.sizes).tolist()
+            self._rows = [self.flat[e - d : e] for e, d in zip(ends, self.sizes.tolist())]
+        return iter(self._rows)
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) index pairs of every nonzero entry, in row order."""
+        return np.repeat(np.arange(len(self)), self.sizes), self.flat
+
+    @property
+    def groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(row ids, (B, d) index matrix) for each nonempty row size, in increasing d.
+
+        An empty row (a measurement with no lit pixels) belongs to no group.
+        """
+        if self._groups is None:
+            starts = np.cumsum(self.sizes) - self.sizes
+            self._groups = []
+            for d in np.unique(self.sizes[self.sizes > 0]):
+                ids = np.flatnonzero(self.sizes == d)
+                self._groups.append((ids, self.flat[starts[ids, None] + np.arange(d)]))
+        return self._groups
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of `values` over each row, 0 for an empty row.
+
+        Each row of a C-contiguous (B, d) gather is summed as `values[row].sum()`
+        sums it (pairwise), so float results match a per-row loop bit for bit.
+        """
+        values = np.asarray(values)
+        # the dtype `sum` gives: float stays float, uint8 -> uint64, bool -> int64
+        out = np.zeros(len(self), dtype=np.zeros(1, values.dtype).sum().dtype)
+        for ids, idx in self.groups:
+            out[ids] = values[idx].sum(axis=1)
+        return out
 
 
 @dataclass(frozen=True)
@@ -102,7 +169,7 @@ class CodeSpec:
 
 @dataclass
 class GeneratorMatrix:
-    """G = [I | P], stored sparsely: one sorted index array per parity column.
+    """G = [I | P], stored sparsely: row j of `parity_columns` is column j's support.
 
     The identity block is implicit. Arrays are treated as read-only after
     construction; matrices are safe to share across parallel workers.
@@ -111,29 +178,26 @@ class GeneratorMatrix:
     k_info: int
     n_total: int
     seed: int
-    parity_columns: list[np.ndarray] = field(default_factory=list)
+    parity_columns: SparseRows
 
     @property
     def num_parity(self) -> int:
         return self.n_total - self.k_info
 
-    def column_degrees(self) -> np.ndarray:
-        return np.array([len(c) for c in self.parity_columns], dtype=np.int64)
-
     def parity_duty_ratio(self) -> float:
         """Mean fraction of pixels lit per parity column."""
         if not self.parity_columns:
             return 0.0
-        return float(self.column_degrees().mean()) / self.k_info
+        return float(self.parity_columns.sizes.mean()) / self.k_info
 
 
 @dataclass
 class ParityCheckMatrix:
-    """H = [P^T | I], one sorted index array per row over {0..N-1}."""
+    """H = [P^T | I], one sorted support per row over {0..N-1}."""
 
     k_info: int
     n_total: int
-    rows: list[np.ndarray] = field(default_factory=list)
+    rows: SparseRows
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
@@ -156,39 +220,8 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
         k_info=spec.k_info,
         n_total=spec.n_total,
         seed=spec.seed,
-        parity_columns=columns,
+        parity_columns=SparseRows.of(columns),
     )
-
-
-def degree_groups(rows) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(row ids, (B, d) index matrix) for each nonempty row size, in increasing d.
-
-    An empty row (a measurement with no lit pixels) belongs to no group.
-    """
-    sizes = np.array([len(row) for row in rows], dtype=np.int64)
-    if not sizes.any():
-        return []
-    flat = np.concatenate(rows).astype(np.int64, copy=False)
-    starts = np.cumsum(sizes) - sizes
-    groups = []
-    for d in np.unique(sizes[sizes > 0]):
-        ids = np.flatnonzero(sizes == d)
-        groups.append((ids, flat[starts[ids, None] + np.arange(d)]))
-    return groups
-
-
-def group_sums(groups, values: np.ndarray, n_rows: int) -> np.ndarray:
-    """Sum of `values` over each row of `degree_groups`, 0 for an empty row.
-
-    Each row of a C-contiguous (B, d) gather is summed as `values[row].sum()`
-    sums it (pairwise), so float results match a per-row loop bit for bit.
-    """
-    values = np.asarray(values)
-    # the dtype `sum` gives: float stays float, uint8 -> uint64, bool -> int64
-    out = np.zeros(n_rows, dtype=np.zeros(1, values.dtype).sum().dtype)
-    for ids, idx in groups:
-        out[ids] = values[idx].sum(axis=1)
-    return out
 
 
 def encode(g: GeneratorMatrix, pixels: np.ndarray) -> np.ndarray:
@@ -203,16 +236,16 @@ def encode(g: GeneratorMatrix, pixels: np.ndarray) -> np.ndarray:
     bits = pixels.astype(np.uint8)
     out = np.empty(g.n_total, dtype=np.uint8)
     out[: g.k_info] = bits
-    out[g.k_info :] = group_sums(degree_groups(g.parity_columns), bits, g.num_parity) & 1
+    out[g.k_info :] = g.parity_columns.sums(bits) & 1
     return out
 
 
 def derive_parity_check(g: GeneratorMatrix) -> ParityCheckMatrix:
     """Systematic dual: row j = parity column j's support plus position K+j."""
-    rows = []
-    for j, col in enumerate(g.parity_columns):
-        rows.append(np.append(col, g.k_info + j).astype(np.int64))
-    return ParityCheckMatrix(k_info=g.k_info, n_total=g.n_total, rows=rows)
+    cols = g.parity_columns
+    # K+j goes in at the end of row j, where row j+1 starts
+    flat = np.insert(cols.flat, np.cumsum(cols.sizes), g.k_info + np.arange(len(cols)))
+    return ParityCheckMatrix(g.k_info, g.n_total, rows=SparseRows(flat, cols.sizes + 1))
 
 
 def syndrome(h: ParityCheckMatrix, codeword: np.ndarray) -> np.ndarray:
@@ -222,8 +255,7 @@ def syndrome(h: ParityCheckMatrix, codeword: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"codeword has length {codeword.shape}, expected ({h.n_total},)"
         )
-    sums = group_sums(degree_groups(h.rows), codeword.astype(np.uint8), len(h.rows))
-    return (sums & 1).astype(np.uint8)
+    return (h.rows.sums(codeword.astype(np.uint8)) & 1).astype(np.uint8)
 
 
 def save_generator(g: GeneratorMatrix, path) -> None:
@@ -262,4 +294,4 @@ def load_generator(path) -> GeneratorMatrix:
             raise ValueError("parity column index out of range")
         if (np.diff(col) <= 0).any():
             raise ValueError("parity column indices must be strictly increasing")
-    return GeneratorMatrix(k_info=k, n_total=n, seed=seed, parity_columns=columns)
+    return GeneratorMatrix(k, n, seed, parity_columns=SparseRows.of(columns))

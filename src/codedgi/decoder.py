@@ -1,10 +1,12 @@
 """Belief-propagation reconstruction from bucket measurements.
 
 Both decoders run the same sum-product core on a bipartite graph: the checks
-are batched by degree with `codes.degree_groups`, messages live in plain
-per-group arrays, and every variable pass sums its incoming logits with
-`_totals`. Row sums over the checks (the residual of decode_sum_bp, the
-syndrome test of decode_gf2_bp) go through `codes.group_sums`.
+are the rows of a `codes.SparseRows` (the patterns, or the rows of H), batched
+by degree with its `.groups` layout. That layout is built once per matrix, so
+decode_sum_bp reuses the one `sense` built. Messages live in plain per-group
+arrays, and every variable pass sums its incoming logits with `_totals`. Row
+sums over the checks (the residual of decode_sum_bp, the syndrome test of
+decode_gf2_bp) are `SparseRows.sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through a
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .codes import ParityCheckMatrix, degree_groups, group_sums
+from .codes import ParityCheckMatrix
 from .forward import (
     ChannelParams,
     IlluminationEnsemble,
@@ -236,14 +238,14 @@ def decode_sum_bp(
     stall_window consecutive iterations, or at max_iters.
     """
     opts = opts or BpOptions()
-    if ens.n_patterns != m.n_shots:
+    if len(ens.patterns) != m.n_shots:
         raise ValueError(
-            f"ensemble has {ens.n_patterns} patterns, measurement {m.n_shots}"
+            f"ensemble has {len(ens.patterns)} patterns, measurement {m.n_shots}"
         )
     k = ens.k_pixels
     ch = m.channel
     amp = effective_amplitudes(m)
-    groups = degree_groups(ens.patterns)
+    groups = ens.patterns.groups
     p2m = [np.full(px.shape, opts.pixel_prior_one) for _, px in groups]
     liks = [
         _likelihood_table(m.bucket[ids], amp[ids], px.shape[1], ch) for ids, px in groups
@@ -282,7 +284,7 @@ def decode_sum_bp(
 
     pixels = hard.astype(np.uint8)
     # residual in count units, using the decoder's amplitude model
-    predicted = amp * math.sqrt(ch.es) * group_sums(groups, pixels, m.n_shots)
+    predicted = amp * math.sqrt(ch.es) * ens.patterns.sums(pixels)
     residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(ch.es))
 
     diag = DecodeDiagnostics(
@@ -307,7 +309,7 @@ def decode_gf2_bp(
     if llrs.shape != (h.n_total,):
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
 
-    groups = degree_groups(h.rows)
+    groups = h.rows.groups
     c2v = [np.zeros(vr.shape) for _, vr in groups]
     total = llrs.copy()
     hard = total < 0.0
@@ -331,7 +333,7 @@ def decode_gf2_bp(
         total = _totals(llrs, groups, c2v, h.n_total)
         hard = total < 0.0
         iterations = iteration
-        if not (group_sums(groups, hard, len(h.rows)) & 1).any():
+        if not (h.rows.sums(hard) & 1).any():
             converged = True
             break
 

@@ -7,10 +7,10 @@ and adds real Gaussian noise of variance N0/2:
     R_n = |h_n| * sqrt(Es) * sum_{i in pattern_n} delta_i + w_n
 
 `sense` is `pattern_sums` followed by `transmit`, the channel; the GF(2)
-path sends codeword bits through the same `transmit`. `pattern_sums` runs
-the sparse-row kernel of `codes` (`degree_groups`, `group_sums`) on the
-patterns' index lists. `ChannelParams.at_snr_db` turns an SNR in dB into a
-channel.
+path sends codeword bits through the same `transmit`. The patterns are a
+`codes.SparseRows` (one row of lit pixels per pattern), so `pattern_sums` is
+its row sum, over the same layout the decoder reads.
+`ChannelParams.at_snr_db` turns an SNR in dB into a channel.
 
 Fading magnitudes are Rayleigh with unit second moment (the magnitude of a
 circularly-symmetric unit-variance complex Gaussian); with fading off they
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import GeneratorMatrix, degree_groups, group_sums
+from .codes import GeneratorMatrix, SparseRows
 
 FADING_MODES = ("none", "rayleigh")
 
@@ -62,30 +62,15 @@ class SceneImage:
 
 @dataclass
 class IlluminationEnsemble:
-    """N pixel-subset patterns; sparse index arrays over {0..K-1}."""
+    """N pixel-subset patterns: row n of `patterns` lists pattern n's lit pixels."""
 
     k_pixels: int
-    patterns: list[np.ndarray]
-    source: str  # "coded" or "speckle"
-
-    @property
-    def n_patterns(self) -> int:
-        return len(self.patterns)
-
-    def pattern_sizes(self) -> np.ndarray:
-        return np.array([len(p) for p in self.patterns], dtype=np.int64)
-
-    def lit_entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pattern, pixel) index pairs of every lit entry, in pattern order."""
-        if not self.patterns:
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        rows = np.repeat(np.arange(self.n_patterns), self.pattern_sizes())
-        return rows, np.concatenate(self.patterns)
+    patterns: SparseRows
 
     def dense(self) -> np.ndarray:
-        """(N, K) 0/1 matrix; used by the pseudo-inverse baseline and the tests."""
-        a = np.zeros((self.n_patterns, self.k_pixels), dtype=np.float64)
-        a[self.lit_entries()] = 1.0
+        """(N, K) 0/1 matrix, the tests' oracle for the sparse computations."""
+        a = np.zeros((len(self.patterns), self.k_pixels), dtype=np.float64)
+        a[self.patterns.entries()] = 1.0
         return a
 
 
@@ -155,9 +140,12 @@ def patterns_from_generator(g: GeneratorMatrix) -> IlluminationEnsemble:
     The K identity columns give singleton patterns {0}..{K-1}; pattern K+j is
     parity column j's support.
     """
-    patterns = [np.array([i], dtype=np.int64) for i in range(g.k_info)]
-    patterns.extend(g.parity_columns)
-    return IlluminationEnsemble(k_pixels=g.k_info, patterns=patterns, source="coded")
+    cols = g.parity_columns
+    patterns = SparseRows(
+        np.concatenate([np.arange(g.k_info), cols.flat]),
+        np.concatenate([np.ones(g.k_info, np.int64), cols.sizes]),
+    )
+    return IlluminationEnsemble(k_pixels=g.k_info, patterns=patterns)
 
 
 def random_speckle(
@@ -169,8 +157,7 @@ def random_speckle(
     # one (n, k) draw is the same PCG64 stream as n draws of k
     lit = np.random.default_rng(seed).random((n, k)) < duty
     pixels = (np.flatnonzero(lit) % k).astype(np.int64, copy=False)
-    patterns = np.split(pixels, np.cumsum(lit.sum(axis=1))[:-1]) if n else []
-    return IlluminationEnsemble(k_pixels=k, patterns=patterns, source="speckle")
+    return IlluminationEnsemble(k_pixels=k, patterns=SparseRows(pixels, lit.sum(axis=1)))
 
 
 def pattern_sums(ens: IlluminationEnsemble, scene: SceneImage) -> np.ndarray:
@@ -179,7 +166,7 @@ def pattern_sums(ens: IlluminationEnsemble, scene: SceneImage) -> np.ndarray:
         raise ValueError(
             f"scene has {scene.k_pixels} pixels, ensemble expects {ens.k_pixels}"
         )
-    return group_sums(degree_groups(ens.patterns), scene.reflectance, ens.n_patterns)
+    return ens.patterns.sums(scene.reflectance)
 
 
 def transmit(sums, ch: ChannelParams, seed: int) -> Measurement:

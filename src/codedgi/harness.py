@@ -16,10 +16,10 @@ master seed, the sweep-point index, and the trial index.
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -151,6 +151,9 @@ class RunConfig:
                 raise ValueError("plane dimensions must be positive")
             if self.sampling < 1:
                 raise ValueError("sampling multiplier must be >= 1")
+            if self.experiment == "sweep-ber" and self.sampling < 2:
+                # the sweep's bound needs parity symbols: N = sampling * K > K
+                raise ValueError(f"sweep-ber needs sampling >= 2, got sampling = {self.sampling}")
             if not self.multipliers or min(self.multipliers) < 1:
                 raise ValueError("multipliers must be a non-empty list of values >= 1")
             if not self.snr_db_list:
@@ -355,6 +358,7 @@ def _trial(args):
     )
     g = build_generator(spec)
     opts = cfg.bp_options()
+    ens = None
     if cfg.decoder_mode == "gf2":
         meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
         llrs = symbol_llr(meas.bucket, effective_amplitudes(meas), ch)
@@ -366,7 +370,7 @@ def _trial(args):
     methods = {"ldpc": (ber(truth, result.pixels), result.pixels)}
     if cfg.experiment == "compare":
         if cfg.baseline_on_coded:
-            base_ens = patterns_from_generator(g)
+            base_ens = ens if ens is not None else patterns_from_generator(g)
         else:
             base_ens = random_speckle(
                 cfg.k_pixels, n_total, cfg.speckle_duty, _substream(seed, _SUB_SPECKLE)
@@ -379,10 +383,14 @@ def _trial(args):
 
 
 def _map_jobs(jobs, worker, threads: int):
-    """Run jobs (list of arg tuples) preserving deterministic output order."""
-    if threads <= 1:
+    """Run jobs (list of arg tuples) preserving deterministic output order.
+
+    Starts no more worker processes than there are jobs, and none for one.
+    """
+    workers = min(threads, len(jobs))
+    if workers <= 1:
         return [worker(j) for j in jobs]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, jobs, chunksize=1))
 
 

@@ -54,15 +54,15 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
             raise ValueError(f"unsupported PGM magic {magic!r} in {path}")
         _, w = next(toks)
         _, h = next(toks)
-        pos, maxval = next(toks)
+        pos, maxval_tok = next(toks)
     except StopIteration:
         raise ValueError(f"truncated PGM header in {path}") from None
-    width, height, maxval = int(w), int(h), int(maxval)
+    width, height, maxval = int(w), int(h), int(maxval_tok)
     if maxval != MAXVAL:
         raise ValueError(f"PGM maxval must be {MAXVAL}, got {maxval}")
     count = width * height
     if magic == b"P5":
-        start = pos + len(str(maxval)) + 1  # single whitespace after maxval
+        start = pos + len(maxval_tok) + 1  # single whitespace after maxval
         raw = data[start : start + count]
         if len(raw) != count:
             raise ValueError(f"truncated PGM pixel data in {path}")

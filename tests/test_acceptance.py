@@ -26,6 +26,7 @@ from codedgi import (
     GrayImage,
     IlluminationEnsemble,
     SceneImage,
+    SparseRows,
     avg_column_hit_prob,
     ber,
     ber_lower_bound,
@@ -244,7 +245,7 @@ def random_tree_ensemble(k, rng):
     for child in range(1, k):
         parent = int(rng.integers(0, child))
         patterns.append(np.array(sorted((parent, child))))
-    return IlluminationEnsemble(k_pixels=k, patterns=patterns, source="coded")
+    return IlluminationEnsemble(k_pixels=k, patterns=SparseRows.of(patterns))
 
 
 def test_criterion_5_tree_exactness():
@@ -277,7 +278,7 @@ def test_criterion_6_duty_table():
             CodeSpec(1024, 1536, DegreeDistribution.regular(degree), seed=degree)
         )
         ens = patterns_from_generator(g)
-        parity_duty = ens.pattern_sizes()[1024:].mean() / 1024
+        parity_duty = ens.patterns.sizes[1024:].mean() / 1024
         ok = ok and abs(100 * parity_duty - percent) <= 0.005
     assert report("6", "coded duty ratios match the degree table to two decimals", ok)
 

@@ -10,6 +10,7 @@ from codedgi import (
     IlluminationEnsemble,
     Measurement,
     SceneImage,
+    SparseRows,
     binarize,
     builtin_scene,
     cgi_reconstruct,
@@ -24,7 +25,7 @@ from codedgi.baselines import Reconstruction, _centred_correlation
 
 
 def identity_ensemble(k):
-    return IlluminationEnsemble(k, [np.array([i]) for i in range(k)], source="coded")
+    return IlluminationEnsemble(k, SparseRows.of([np.array([i]) for i in range(k)]))
 
 
 def manual_measurement(bucket, es=1.0, n0=0.0, fading="none", h=None):
@@ -84,7 +85,7 @@ class TestCgi:
 class TestDgi:
     def test_bucket_proportional_to_intensity_cancels(self):
         ens = random_speckle(8, 30, 0.5, seed=4)
-        s = ens.pattern_sizes().astype(float)
+        s = ens.patterns.sizes.astype(float)
         m = manual_measurement(2.5 * s)
         assert np.allclose(dgi_reconstruct(ens, m).image, 0.0, atol=1e-12)
 
@@ -100,14 +101,14 @@ class TestDgi:
         # all patterns the same size -> differential term reduces to R - RBar
         rng = np.random.default_rng(5)
         patterns = [np.sort(rng.choice(12, 3, replace=False)) for _ in range(40)]
-        ens = IlluminationEnsemble(12, patterns, source="speckle")
+        ens = IlluminationEnsemble(12, SparseRows.of(patterns))
         m = manual_measurement(rng.normal(2.0, 1.0, 40))
         np.testing.assert_allclose(
             dgi_reconstruct(ens, m).image, cgi_reconstruct(ens, m).image, atol=1e-12
         )
 
     def test_all_empty_patterns_rejected(self):
-        ens = IlluminationEnsemble(4, [np.array([], dtype=np.int64)] * 3, source="speckle")
+        ens = IlluminationEnsemble(4, SparseRows.of([np.array([], dtype=np.int64)] * 3))
         m = manual_measurement(np.zeros(3))
         with pytest.raises(ValueError):
             dgi_reconstruct(ens, m)
@@ -124,7 +125,7 @@ def near_singular_acquisition():
             lit += [0, 1]
         patterns.append(np.sort(lit))
     patterns.append(np.array([0]))
-    ens = IlluminationEnsemble(6, patterns, source="speckle")
+    ens = IlluminationEnsemble(6, SparseRows.of(patterns))
     h = rng.rayleigh(math.sqrt(2 / math.pi), 18)
     h[-1] = 1e-5
     delta = rng.integers(0, 2, 6).astype(float)
@@ -160,7 +161,7 @@ class TestPinv:
     def test_rank_deficient_returns_minimum_norm(self):
         # duplicate rows x0+x1 = 2 plus x2 = 3: minimum-norm gives (1, 1, 3)
         patterns = [np.array([0, 1]), np.array([0, 1]), np.array([2])]
-        ens = IlluminationEnsemble(3, patterns, source="coded")
+        ens = IlluminationEnsemble(3, SparseRows.of(patterns))
         m = manual_measurement([2.0, 2.0, 3.0])
         x = pinv_reconstruct(ens, m).image
         np.testing.assert_allclose(x, [1.0, 1.0, 3.0], atol=1e-10)
@@ -181,7 +182,7 @@ class TestPinv:
         # pixel 3 is in no pattern: its column is zero, so the minimum-norm x_3 is 0
         rng = np.random.default_rng(22)
         lit = random_speckle(8, 24, 0.5, seed=23).patterns
-        ens = IlluminationEnsemble(8, [p[p != 3] for p in lit], source="speckle")
+        ens = IlluminationEnsemble(8, SparseRows.of([p[p != 3] for p in lit]))
         scene = SceneImage(4, 2, rng.integers(0, 2, 8).astype(float))
         m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=24)
         x = pinv_reconstruct(ens, m).image
@@ -265,9 +266,7 @@ class TestSharedProperties:
         m = sense(ens, scene, ChannelParams(es=1.0, n0=0.3, fading="none"), seed=17)
         perm = rng.permutation(k)
         inv = np.argsort(perm)
-        permuted = IlluminationEnsemble(
-            k, [np.sort(inv[p]) for p in ens.patterns], source=ens.source
-        )
+        permuted = IlluminationEnsemble(k, SparseRows.of([np.sort(inv[p]) for p in ens.patterns]))
         base = method(ens, m).image
         moved = method(permuted, m).image
         np.testing.assert_allclose(moved, base[perm], atol=1e-9)

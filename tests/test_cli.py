@@ -128,6 +128,15 @@ def test_empty_sweep_exits_before_run_dir(tmp_path, capsys, experiment, line):
     assert not out.exists()
 
 
+def test_sweep_ber_at_unit_sampling_exits_before_run_dir(tmp_path, capsys):
+    cfg = tmp_path / "s1.cfg"
+    cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 2\nsampling = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep-ber", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sampling" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_integer_list_exit_code(tmp_path, capsys):
     cfg = tmp_path / "frac.cfg"
     cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\nmultipliers = 1.5,2.7\n")

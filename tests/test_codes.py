@@ -9,6 +9,7 @@ from codedgi import (
     CodeSpec,
     DegreeDistribution,
     GeneratorMatrix,
+    SparseRows,
     build_generator,
     derive_parity_check,
     encode,
@@ -17,7 +18,6 @@ from codedgi import (
     save_generator,
     syndrome,
 )
-from codedgi.codes import degree_groups, group_sums
 
 
 def toy_generator():
@@ -26,12 +26,12 @@ def toy_generator():
         k_info=3,
         n_total=5,
         seed=0,
-        parity_columns=[np.array([0, 1]), np.array([1, 2])],
+        parity_columns=SparseRows.of([np.array([0, 1]), np.array([1, 2])]),
     )
 
 
 def _by_degree(rows):
-    """The per-row dict loop that `degree_groups` replaced, kept as its reference."""
+    """The per-row dict loop that `SparseRows.groups` replaced, kept as its reference."""
     ids_of = {}
     for i, row in enumerate(rows):
         if len(row):
@@ -59,11 +59,16 @@ def row_values(kind, n, seed):
     return rng.random(n) < 0.3
 
 
+def rows_equal(a, b):
+    a, b = list(a), list(b)
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
 class TestRowKernel:
     @pytest.mark.parametrize("seed", range(4))
     def test_groups_match_per_row_loop(self, seed):
         rows = ragged_rows(seed)
-        got, want = degree_groups(rows), _by_degree(rows)
+        got, want = SparseRows.of(rows).groups, _by_degree(rows)
         assert len(got) == len(want)
         for (ids, idx), (want_ids, want_idx) in zip(got, want):
             assert np.array_equal(ids, want_ids)
@@ -75,22 +80,47 @@ class TestRowKernel:
     def test_sums_match_per_row_loop(self, kind, seed):
         rows = ragged_rows(seed)
         values = row_values(kind, 300, seed + 100)
-        got = group_sums(degree_groups(rows), values, len(rows))
+        got = SparseRows.of(rows).sums(values)
         want = np.array([values[row].sum() for row in rows])
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
     def test_no_rows_and_empty_rows(self):
-        assert degree_groups([]) == []
-        empty = [np.array([], dtype=np.int64)] * 3
-        assert degree_groups(empty) == []
-        assert np.array_equal(group_sums([], np.ones(4), 3), np.zeros(3))
+        assert SparseRows.of([]).groups == []
+        empty = SparseRows.of([np.array([], dtype=np.int64)] * 3)
+        assert empty.groups == []
+        assert np.array_equal(empty.sums(np.ones(4)), np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_iteration_round_trips(self, seed):
+        rows = ragged_rows(seed)
+        got = SparseRows.of(rows)
+        assert len(got) == len(rows)
+        assert rows_equal(got, rows)
+        assert all(row.dtype == np.int64 for row in got)
+        with pytest.raises(ValueError, match="read-only"):
+            next(row for row in got if len(row))[0] = 1  # would leave the layout stale
+        assert rows_equal(SparseRows.of([]), [])
+        assert rows_equal(SparseRows.of([np.array([], dtype=np.int64)] * 2), [[], []])
+
+    def test_entries_in_row_order(self):
+        rows = [np.array([3, 5]), np.array([], dtype=np.int64), np.array([0])]
+        r, c = SparseRows.of(rows).entries()
+        assert r.tolist() == [0, 0, 2] and c.tolist() == [3, 5, 0]
+
+    def test_inconsistent_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            SparseRows(np.arange(3), [1, 1])
+        with pytest.raises(ValueError):
+            SparseRows(np.arange(3), [4, -1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_encode_and_syndrome_match_per_row_loops(self, seed):
         dist = DegreeDistribution(((1, 0.2), (8, 0.3), (9, 0.2), (33, 0.3)))
         g = build_generator(CodeSpec(64, 200, dist, seed=seed))
-        g.parity_columns[5] = np.array([], dtype=np.int64)  # a loaded file may hold one
+        columns = list(g.parity_columns)
+        columns[5] = np.array([], dtype=np.int64)  # a loaded file may hold one
+        g.parity_columns = SparseRows.of(columns)
         h = derive_parity_check(g)
         rng = np.random.default_rng(seed)
         pixels = rng.integers(0, 2, 64)
@@ -100,6 +130,19 @@ class TestRowKernel:
         got = syndrome(h, word)
         assert got.dtype == np.uint8
         assert got.tolist() == [word[row].sum() & 1 for row in h.rows]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_parity_check_matches_per_row_append(self, seed):
+        dist = DegreeDistribution(((1, 0.3), (8, 0.4), (33, 0.3)))
+        g = build_generator(CodeSpec(64, 150, dist, seed=seed))
+        columns = list(g.parity_columns)
+        columns[0] = columns[7] = columns[-1] = np.array([], dtype=np.int64)
+        g.parity_columns = SparseRows.of(columns)
+        # the per-row loop derive_parity_check replaced, kept as its reference
+        want = [np.append(col, 64 + j).astype(np.int64) for j, col in enumerate(columns)]
+        h = derive_parity_check(g)
+        assert h.rows.flat.dtype == np.int64
+        assert rows_equal(h.rows, want)
 
 
 class TestDegreeDistribution:
@@ -174,7 +217,7 @@ class TestBuildGenerator:
         dist = DegreeDistribution(((2, 0.5), (8, 0.5)))
         k, extra = 64, 4000
         g = build_generator(CodeSpec(k, k + extra, dist, seed=11))
-        degrees = g.column_degrees()
+        degrees = g.parity_columns.sizes
         se = degrees.std(ddof=1) / np.sqrt(extra) / k
         assert abs(g.parity_duty_ratio() - dist.mean_degree() / k) < 3 * se
 

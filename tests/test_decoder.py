@@ -20,6 +20,7 @@ from codedgi import (
     GeneratorMatrix,
     IlluminationEnsemble,
     SceneImage,
+    SparseRows,
     build_generator,
     count_pmf,
     decode_gf2_bp,
@@ -224,7 +225,7 @@ class TestCheckUpdate:
 def tree_ensemble():
     """Acyclic pixel/measurement graph over 4 pixels."""
     patterns = [np.array([0]), np.array([0, 1]), np.array([1, 2]), np.array([2, 3])]
-    return IlluminationEnsemble(k_pixels=4, patterns=patterns, source="coded")
+    return IlluminationEnsemble(k_pixels=4, patterns=SparseRows.of(patterns))
 
 
 class TestDecodeSumBp:
@@ -274,7 +275,7 @@ class TestDecodeSumBp:
         patterns = [np.array([i]) for i in range(k)] + [
             np.sort(rng.choice(k, 3, replace=False)) for _ in range(6)
         ]
-        ens = IlluminationEnsemble(k_pixels=k, patterns=patterns, source="coded")
+        ens = IlluminationEnsemble(k_pixels=k, patterns=SparseRows.of(patterns))
         scene = SceneImage(width=3, height=2, reflectance=rng.integers(0, 2, k).astype(float))
         ch = ChannelParams(es=1.0, n0=1.2, fading="rayleigh", csi_known=csi)
         m = sense(ens, scene, ch, seed=23)
@@ -286,7 +287,7 @@ class TestDecodeSumBp:
     def test_unpinned_pixel_decodes_from_prior(self):
         # pixel 2 never illuminated
         patterns = [np.array([0]), np.array([1]), np.array([0, 1])]
-        ens = IlluminationEnsemble(k_pixels=3, patterns=patterns, source="coded")
+        ens = IlluminationEnsemble(k_pixels=3, patterns=SparseRows.of(patterns))
         scene = SceneImage(width=3, height=1, reflectance=np.array([1.0, 0.0, 1.0]))
         m = sense(ens, scene, ChannelParams(es=1.0, n0=0.2, fading="none"), seed=3)
         res = decode_sum_bp(m, ens)
@@ -320,9 +321,22 @@ class TestDecodeSumBp:
         ens = tree_ensemble()
         scene = SceneImage(width=2, height=2, reflectance=np.zeros(4))
         m = sense(ens, scene, ChannelParams(), seed=0)
-        short = IlluminationEnsemble(4, ens.patterns[:3], source="coded")
+        short = IlluminationEnsemble(4, SparseRows.of(list(ens.patterns)[:3]))
         with pytest.raises(ValueError):
             decode_sum_bp(m, short)
+
+    def test_sense_and_decode_share_one_layout(self, monkeypatch):
+        # each degree-grouped layout build calls np.unique once: sense builds
+        # the patterns' layout, and decode_sum_bp must reuse it
+        g = build_generator(CodeSpec(16, 32, DegreeDistribution.regular(4), seed=6))
+        ens = patterns_from_generator(g)
+        builds = []
+        unique = np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: builds.append(1) or unique(*a, **kw))
+        scene = SceneImage(4, 4, np.random.default_rng(6).integers(0, 2, 16).astype(float))
+        m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=7)
+        decode_sum_bp(m, ens, BpOptions(max_iters=3))
+        assert len(builds) == 1
 
 
 def ml_codeword(llrs, g):
@@ -340,7 +354,7 @@ class TestDecodeGf2Bp:
     def toy(self):
         return GeneratorMatrix(
             k_info=3, n_total=5, seed=0,
-            parity_columns=[np.array([0, 1]), np.array([1, 2])],
+            parity_columns=SparseRows.of([np.array([0, 1]), np.array([1, 2])]),
         )
 
     def test_strong_positive_llrs_decode_zero(self):

@@ -11,6 +11,7 @@ from codedgi import (
     DegreeDistribution,
     IlluminationEnsemble,
     SceneImage,
+    SparseRows,
     build_generator,
     effective_amplitudes,
     patterns_from_generator,
@@ -36,32 +37,38 @@ class TestPatternsFromGenerator:
     def test_degree_one_code_gives_all_singletons(self):
         g = build_generator(CodeSpec(4, 8, DegreeDistribution.regular(1), seed=0))
         ens = patterns_from_generator(g)
-        assert ens.n_patterns == 8
+        assert len(ens.patterns) == 8
         assert all(len(p) == 1 for p in ens.patterns)
-        assert ens.source == "coded"
 
     def test_identity_block_comes_first(self):
         g = build_generator(CodeSpec(6, 10, DegreeDistribution.regular(3), seed=1))
         ens = patterns_from_generator(g)
-        for i in range(6):
-            assert ens.patterns[i].tolist() == [i]
+        for i, pattern in zip(range(6), ens.patterns):
+            assert pattern.tolist() == [i]
 
     def test_parity_duty_at_degree_128(self):
         g = build_generator(CodeSpec(1024, 1280, DegreeDistribution.regular(128), seed=2))
         ens = patterns_from_generator(g)
-        parity_sizes = ens.pattern_sizes()[1024:]
+        parity_sizes = ens.patterns.sizes[1024:]
         assert np.all(parity_sizes == 128)  # duty 128/1024 = 12.5%
 
     def test_reference_configuration_pattern_count(self):
         # 32x32 plane at 2x sampling: 2048 illumination patterns
         g = build_generator(CodeSpec(1024, 2048, DegreeDistribution.regular(8), seed=0))
-        assert patterns_from_generator(g).n_patterns == 2048
+        assert len(patterns_from_generator(g).patterns) == 2048
 
     def test_coded_duty_formula_exact(self):
         # the parity patterns light the code's parity duty ratio of the pixels
         g = build_generator(CodeSpec(32, 80, DegreeDistribution.regular(4), seed=3))
-        parity_sizes = patterns_from_generator(g).pattern_sizes()[32:]
+        parity_sizes = patterns_from_generator(g).patterns.sizes[32:]
         assert parity_sizes.mean() / 32 == g.parity_duty_ratio() == 4 / 32
+
+    def test_singletons_then_parity_columns(self):
+        g = build_generator(CodeSpec(20, 45, DegreeDistribution(((1, 0.5), (6, 0.5))), seed=2))
+        want = [np.array([i]) for i in range(20)] + list(g.parity_columns)
+        got = list(patterns_from_generator(g).patterns)
+        assert len(got) == len(want)
+        assert all(x.dtype == np.int64 and np.array_equal(x, y) for x, y in zip(got, want))
 
 
 class TestRandomSpeckle:
@@ -72,7 +79,7 @@ class TestRandomSpeckle:
     def test_empirical_duty(self):
         k, n, duty = 1024, 2048, 0.15
         ens = random_speckle(k, n, duty, seed=4)
-        total = ens.pattern_sizes().sum()
+        total = ens.patterns.sizes.sum()
         se = math.sqrt(duty * (1 - duty) * n * k)
         assert abs(total - duty * n * k) < 3 * se
 
@@ -109,7 +116,7 @@ class TestRandomSpeckle:
 
 class TestSense:
     def test_noiseless_sum_is_exact(self):
-        ens = IlluminationEnsemble(3, [np.array([0, 1, 2])], source="coded")
+        ens = IlluminationEnsemble(3, SparseRows.of([np.array([0, 1, 2])]))
         scene = flat_scene([1.0, 1.0, 1.0])
         ch = ChannelParams(es=4.0, n0=0.0, fading="none")
         m = sense(ens, scene, ch, seed=0)
@@ -127,7 +134,7 @@ class TestSense:
         assert abs(buckets.mean()) < 3 * se
 
     def test_rayleigh_magnitude_moments(self):
-        ens = IlluminationEnsemble(1, [np.array([0])] * 100_000, source="speckle")
+        ens = IlluminationEnsemble(1, SparseRows.of([np.array([0])] * 100_000))
         scene = flat_scene([1.0])
         ch = ChannelParams(es=1.0, n0=0.0, fading="rayleigh")
         h = sense(ens, scene, ch, seed=6).fading_mag
@@ -138,7 +145,7 @@ class TestSense:
         assert abs(np.mean(h**2) - 1.0) < 3 * se_sq
 
     def test_noise_variance_matches_n0_over_two(self):
-        ens = IlluminationEnsemble(1, [np.array([0])] * 50_000, source="speckle")
+        ens = IlluminationEnsemble(1, SparseRows.of([np.array([0])] * 50_000))
         scene = flat_scene([0.0])
         ch = ChannelParams(es=1.0, n0=3.0, fading="none")
         w = sense(ens, scene, ch, seed=7).bucket
@@ -160,7 +167,7 @@ class TestSense:
 
     def test_transmit_is_sense_through_singleton_patterns(self):
         bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        ens = IlluminationEnsemble(8, [np.array([i]) for i in range(8)], source="coded")
+        ens = IlluminationEnsemble(8, SparseRows.of([np.array([i]) for i in range(8)]))
         ch = ChannelParams(es=2.0, n0=0.3, fading="rayleigh")
         sent = transmit(bits, ch, seed=9)
         sensed = sense(ens, flat_scene(bits), ch, seed=9)
@@ -173,7 +180,7 @@ class TestSense:
             sense(ens, flat_scene([0.0] * 9), ChannelParams(), seed=0)
 
     def test_pattern_sums_grayscale(self):
-        ens = IlluminationEnsemble(3, [np.array([0, 2])], source="coded")
+        ens = IlluminationEnsemble(3, SparseRows.of([np.array([0, 2])]))
         assert pattern_sums(ens, flat_scene([0.25, 1.0, 0.5]))[0] == 0.75
 
 
@@ -211,7 +218,7 @@ class TestChannelParams:
                 ChannelParams.at_snr_db(bad)
 
     def test_effective_amplitudes(self):
-        ens = IlluminationEnsemble(1, [np.array([0])] * 4, source="speckle")
+        ens = IlluminationEnsemble(1, SparseRows.of([np.array([0])] * 4))
         scene = flat_scene([1.0])
         m = sense(ens, scene, ChannelParams(fading="rayleigh", csi_known=True), seed=1)
         assert np.array_equal(effective_amplitudes(m), m.fading_mag)

@@ -128,6 +128,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("degree = 300\nwidth = 8\nheight = 8\n")
 
+    def test_sweep_ber_needs_parity_symbols(self, tmp_path):
+        # the sweep's bound needs N = sampling * K > K; fail before any trial runs
+        out = tmp_path / "s1"
+        with pytest.raises(ConfigError, match="sampling"):
+            run_experiment(tiny_cfg(sampling=1, out=str(out)))
+        assert not out.exists()
+        for experiment in ("sweep-sampling", "compare", "grayscale"):
+            tiny_cfg(experiment=experiment, sampling=1).validate()
+
     def test_distribution_parsing(self):
         dist = parse_distribution("2:0.5,4:0.5")
         assert dist.terms == ((2, 0.5), (4, 0.5))
@@ -261,6 +270,37 @@ def _tree_bytes(run_dir, skip=("manifest.txt",)):
             continue
         out[name] = Path(run_dir, name).read_bytes()
     return out
+
+
+class TestMapJobs:
+    @pytest.mark.parametrize(
+        "threads, n_jobs, workers",
+        [(64, 2, [2]), (64, 1, []), (3, 10, [3]), (2, 0, []), (1, 5, [])],
+    )
+    def test_no_more_workers_than_jobs(self, monkeypatch, threads, n_jobs, workers):
+        from codedgi import harness
+
+        created = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        jobs = list(range(n_jobs))
+        assert harness._map_jobs(jobs, lambda j: 10 * j, threads) == [10 * j for j in jobs]
+        assert created == workers
 
 
 class TestManifestReplay:

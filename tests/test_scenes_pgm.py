@@ -93,6 +93,14 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
 
+    def test_p5_pixels_follow_a_padded_maxval(self, tmp_path):
+        # "0255" is maxval 255 written with four characters
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n2 2\n0255\n" + bytes([0, 255, 128, 64]))
+        w, h, values = read_pgm(path)
+        assert (w, h) == (2, 2)
+        np.testing.assert_array_equal(values * 255, [0, 255, 128, 64])
+
     def test_binary_and_ascii_agree(self, tmp_path):
         # the toolkit writes P5 only; P2 is hand-written from the same gray levels
         scene = builtin_scene("radial", 16, 16)
