@@ -3,7 +3,8 @@
 The sum-constraint decoder is checked three independent ways: exhaustive
 posterior enumeration (exact on trees, and for hard decisions on small loopy
 cases), a straightforward per-edge reference decoder built on count_pmf, and
-the spec'd end-to-end recovery cases.
+the spec'd end-to-end recovery cases. The planned check update must also
+match, bit for bit, the one-shot formulation kept here as its reference.
 """
 
 import itertools
@@ -11,7 +12,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from codedgi import decoder
 from codedgi import (
     BpOptions,
     ChannelParams,
@@ -35,10 +38,11 @@ from codedgi import (
 )
 from codedgi.decoder import (
     MSG_FLOOR,
-    _check_update,
-    _likelihood_table,
+    _CheckPlan,
+    _sigmoid,
     effective_amplitudes,
 )
+from codedgi.harness import parse_distribution
 
 
 def exhaustive_marginals(m, ens, prior=0.5):
@@ -211,7 +215,7 @@ class TestCheckUpdate:
         if n0 == 0:
             counts[1] += 0.5  # no count fits: every likelihood is zero
         r = amp * math.sqrt(ch.es) * counts + rng.normal(0.0, math.sqrt(n0 / 2), b)
-        logits = _check_update(p, _likelihood_table(r, amp, d, ch))
+        logits = planned_check_update(p, r, amp, ch)
         expect = oracle_check_messages(p, r, amp, ch)
         if n0 == 0:
             assert np.all(expect[1] == 0.5)
@@ -220,6 +224,91 @@ class TestCheckUpdate:
             return np.log(x) - np.log1p(-x)
 
         np.testing.assert_allclose(logits, llr(expect), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n0", [0.5, 0.0])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 100, 128, 129])
+    def test_plan_matches_oneshot_kernel_bit_for_bit(self, d, n0):
+        rng = np.random.default_rng(7000 + d)
+        b = 3
+        ch = ChannelParams(es=1.0, n0=n0, fading="rayleigh")
+        amp = rng.rayleigh(scale=math.sqrt(0.5), size=b)
+        plan = _CheckPlan(b, d)
+        # two passes through one plan: the second must not see the first
+        for _ in range(2):
+            p = rng.random((b, d))
+            counts = (rng.random((b, d)) < p).sum(axis=1).astype(np.float64)
+            if n0 == 0:
+                counts[0] += 0.5
+            r = amp * counts + rng.normal(0.0, math.sqrt(n0 / 2), b)
+            plan.set_likelihoods(r, amp, ch)
+            expect = oneshot_check_update(p, oneshot_likelihood_table(r, amp, d, ch))
+            assert np.array_equal(plan(p), expect)
+
+
+def planned_check_update(p, r, amp, ch):
+    plan = _CheckPlan(*p.shape)
+    plan.set_likelihoods(r, amp, ch)
+    return plan(p)
+
+
+def oneshot_likelihood_table(r, amp, degree, ch):
+    """(d'+1, B) relative likelihoods over counts 0..d', zero past count d."""
+    counts = np.arange(degree + 1, dtype=np.float64)
+    mean = amp[:, None] * math.sqrt(ch.es) * counts[None, :]
+    if ch.n0 == 0:
+        tol = 1e-9 * np.maximum(1.0, np.abs(r))[:, None]
+        tab = (np.abs(r[:, None] - mean) <= tol).astype(np.float64)
+    else:
+        logf = -((r[:, None] - mean) ** 2) / ch.n0
+        tab = np.exp(logf - logf.max(axis=1, keepdims=True))
+    out = np.zeros(((1 << (degree - 1).bit_length()) + 1, len(r)))
+    out[: degree + 1] = tab.T
+    return out
+
+
+def oneshot_check_update(p2m, lik):
+    """The segment-tree check update with every buffer and view made per call.
+
+    The reference the planned kernel must match bit for bit: the same
+    einsums over freshly padded levels and freshly made windows.
+    """
+    b, d = p2m.shape
+    levels = (d - 1).bit_length()
+    leaves = np.zeros((1 << levels, 2, b))
+    leaves[:, 0] = 1.0
+    leaves[:d, 0] = 1.0 - p2m.T
+    leaves[:d, 1] = p2m.T
+    pmfs = [leaves]
+    for _ in range(levels - 1):
+        pairs = pmfs[-1].reshape(-1, 2, *pmfs[-1].shape[1:])
+        s = pairs.shape[2] - 1
+        padded = np.zeros((len(pairs), 3 * s + 1, b))
+        padded[:, s : 2 * s + 1] = pairs[:, 0]
+        windows = sliding_window_view(padded, s + 1, axis=1)
+        pmfs.append(np.einsum("nkbj,njb->nkb", windows, pairs[:, 1, ::-1]))
+    gamma = lik[None]
+    for pmf in reversed(pmfs[:levels]):
+        s1 = pmf.shape[1]
+        windows = sliding_window_view(gamma, s1, axis=1)
+        sibling = pmf.reshape(-1, 2, s1, b)[:, ::-1]
+        gamma = np.einsum("nubv,ncvb->ncub", windows, sibling).reshape(-1, s1, b)
+    m0, m1 = gamma[:d, 0], gamma[:d, 1]
+    denom = m0 + m1
+    msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
+    msg = np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR)
+    return (np.log(msg) - np.log1p(-msg)).T
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    edges = [0.0, 1e-300, 36.0, 700.0, 1e308]
+    x = np.concatenate([edges, np.negative(edges), np.random.default_rng(3).normal(0, 20, 500)])
+    expect = np.empty_like(x)
+    pos = x >= 0
+    expect[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expect[~pos] = ex / (1.0 + ex)
+    assert np.signbit(x[len(edges)])  # -0.0 takes the x >= 0 branch in both
+    assert np.array_equal(_sigmoid(x), expect)
 
 
 def tree_ensemble():
@@ -337,6 +426,67 @@ class TestDecodeSumBp:
         m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=7)
         decode_sum_bp(m, ens, BpOptions(max_iters=3))
         assert len(builds) == 1
+
+
+def coded_decode(k, n, dist, seed, opts):
+    g = build_generator(CodeSpec(k, n, dist, seed=seed))
+    ens = patterns_from_generator(g)
+    side = math.isqrt(k)
+    scene = SceneImage(side, k // side, np.random.default_rng(seed).integers(0, 2, k).astype(float))
+    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=seed + 1)
+    return decode_sum_bp(m, ens, opts), ens
+
+
+def check_shapes(ens):
+    return {px.shape for _, px in ens.patterns.groups if px.shape[1] > 1}
+
+
+class TestCheckPlans:
+    def test_shape_switches_leave_results_unchanged(self):
+        opts = BpOptions(max_iters=20, damping=0.3)
+        first, ens_a = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
+        _, ens_b = coded_decode(49, 98, DegreeDistribution.regular(3), 12, opts)
+        assert set(decoder._plans.by_shape) == check_shapes(ens_b)
+        third, _ = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
+        assert set(decoder._plans.by_shape) == check_shapes(ens_a)
+        np.testing.assert_array_equal(third.pixels, first.pixels)
+        np.testing.assert_array_equal(third.marginals, first.marginals)
+        assert third.diagnostics == first.diagnostics
+
+    def test_degree_one_parity_rows_match_reference_decoder(self):
+        # degree-1 parity columns join the identity group, whose messages
+        # are folded into the prior
+        dist = parse_distribution("1:0.5,3:0.5")
+        g = build_generator(CodeSpec(6, 12, dist, seed=4))
+        ens = patterns_from_generator(g)
+        assert sorted(ens.patterns.sizes.tolist()).count(1) > 6
+        scene = SceneImage(3, 2, np.array([1.0, 0, 0, 1, 1, 0]))
+        m = sense(ens, scene, ChannelParams(es=1.0, n0=1.2, fading="rayleigh"), seed=5)
+        opts = BpOptions(max_iters=15, damping=0.2)
+        fast = decode_sum_bp(m, ens, opts).marginals
+        np.testing.assert_allclose(fast, reference_sum_bp(m, ens, opts), atol=1e-12)
+        assert set(decoder._plans.by_shape) == check_shapes(ens)
+
+    def test_plans_built_once_per_shape(self, monkeypatch):
+        built = []
+
+        class CountingPlan(_CheckPlan):
+            def __init__(self, b, d):
+                built.append((b, d))
+                super().__init__(b, d)
+
+        monkeypatch.setattr(decoder, "_CheckPlan", CountingPlan)
+        dist = parse_distribution("3:0.5,5:0.5")
+        # iterate to max_iters without stopping early
+        opts = BpOptions(max_iters=50, stall_window=51)
+        coded_decode(16, 32, DegreeDistribution.regular(4), 2, opts)  # evict other shapes
+        built.clear()
+        res, ens = coded_decode(36, 72, dist, 3, opts)
+        assert res.diagnostics.iterations_run == 50
+        assert sorted(built) == sorted(check_shapes(ens))
+        built.clear()
+        coded_decode(36, 72, dist, 3, opts)
+        assert built == []
 
 
 def ml_codeword(llrs, g):
