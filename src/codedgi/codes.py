@@ -17,22 +17,26 @@ matrices.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+# bounded draws per `rng.integers` call in build_generator, to bound memory
+_DRAW_CHUNK = 2**20
 
 
 class SparseRows:
     """A sparse 0/1 matrix by its row supports: `flat` holds them back to back.
 
     Row i is flat[start_i : start_i + sizes[i]]. Both arrays are read-only
-    views, so the row views and the degree-grouped layout, each built at most
-    once on first use, cannot go stale.
+    copies of the caller's, so the row views and the degree-grouped layout,
+    each built at most once on first use, cannot go stale.
     """
 
     def __init__(self, flat, sizes):
-        self.flat = np.asarray(flat, dtype=np.int64).view()
-        self.sizes = np.asarray(sizes, dtype=np.int64).view()
+        self.flat = np.array(flat, dtype=np.int64)
+        self.sizes = np.array(sizes, dtype=np.int64)
         if (self.sizes < 0).any() or self.sizes.sum() != len(self.flat):
             raise ValueError("row sizes must be non-negative and sum to len(flat)")
         self.flat.flags.writeable = self.sizes.flags.writeable = False
@@ -102,12 +106,15 @@ class DegreeDistribution:
             raise ValueError("degree distribution needs at least one term")
         degrees = [d for d, _ in self.terms]
         weights = [w for _, w in self.terms]
-        if any(d < 1 or d != int(d) for d in degrees):
-            raise ValueError("degrees must be positive integers")
+        if any(
+            not isinstance(d, numbers.Integral) or isinstance(d, bool) or d < 1
+            for d in degrees
+        ):
+            raise ValueError(f"degrees must be positive integers, got {degrees!r}")
         if len(set(degrees)) != len(degrees):
             raise ValueError("degrees must be distinct")
-        if any(w < 0 or w > 1 for w in weights):
-            raise ValueError("weights must lie in [0, 1]")
+        if not all(0 <= w <= 1 for w in weights):  # also rejects NaN
+            raise ValueError(f"weights must lie in [0, 1], got {weights!r}")
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(weights)!r}")
 
@@ -201,27 +208,95 @@ class ParityCheckMatrix:
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
-    """Sample the sparse parity block column by column.
+    """Sample the sparse parity block from the stream of default_rng(spec.seed).
 
-    Each column weight is drawn from the degree distribution, then the support
-    is a uniform random size-D subset of {0..K-1}, sampled without replacement.
-    Deterministic for a fixed spec.seed. Duplicate columns are permitted; no
-    girth conditioning is applied.
+    Each column weight D is drawn from the degree distribution (no draw for a
+    single degree), then the support is `rng.choice(K, D, replace=False)`,
+    sorted: a uniform random size-D subset of {0..K-1}. Columns are sampled in
+    order on one stream, so the code is fixed by the spec. A single degree in
+    the range where `choice` runs Floyd's algorithm (K <= 10000 or
+    D <= K // 50) is sampled for all columns at once by `_floyd_supports`, bit
+    for bit the same; mixtures, whose degree draws interleave with the support
+    draws, and numpy's tail-shuffle range sample column by column. Duplicate
+    columns are permitted; no girth conditioning is applied.
     """
     spec.dist.validate_for_k(spec.k_info)
     rng = np.random.default_rng(spec.seed)
-    columns = []
-    for _ in range(spec.n_total - spec.k_info):
-        d = sample_degree(spec.dist, rng)
-        support = rng.choice(spec.k_info, size=d, replace=False)
-        support.sort()
-        columns.append(support.astype(np.int64))
+    k, n_cols = spec.k_info, spec.n_total - spec.k_info
+    (d, _), *mixture = spec.dist.terms
+    if not mixture and (k <= 10000 or d <= k // 50):
+        parity = SparseRows(_floyd_supports(k, d, n_cols, rng), np.full(n_cols, d))
+    else:
+        columns = []
+        for _ in range(n_cols):
+            support = rng.choice(k, size=sample_degree(spec.dist, rng), replace=False)
+            support.sort()
+            columns.append(support)
+        parity = SparseRows.of(columns)
     return GeneratorMatrix(
         k_info=spec.k_info,
         n_total=spec.n_total,
         seed=spec.seed,
-        parity_columns=SparseRows.of(columns),
+        parity_columns=parity,
     )
+
+
+def _floyd_supports(k: int, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The sorted supports of n `rng.choice(k, d, replace=False)` calls, back to back.
+
+    Each call runs Floyd's algorithm: for t = 0..d-1 it draws v_t in [0, j_t],
+    j_t = k - d + t, and takes v_t, or j_t if v_t is already taken. It then
+    shuffles its d picks with draws in [0, i] for i = d-1..1, which the sort
+    undoes but which still consume the stream. `rng.integers` with an int64
+    array of bounds makes exactly these bounded draws, Lemire rejections
+    included, so one call draws many columns.
+    """
+    bounds = np.concatenate([np.arange(k - d + 1, k + 1), np.arange(d, 1, -1)])
+    per_call = max(1, _DRAW_CHUNK // len(bounds))
+    parts = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, per_call):
+        m = min(per_call, n - start)
+        draws = rng.integers(0, np.tile(bounds, m)).reshape(m, len(bounds))
+        parts.append(_floyd_sets(draws[:, :d], k).ravel())
+    return np.concatenate(parts)
+
+
+def _floyd_sets(v: np.ndarray, k: int) -> np.ndarray:
+    """Row-sorted Floyd sets of the proposals v (one column's d draws per row).
+
+    v_t is taken unless it is already in the set (dup_t), and it is when it
+    repeats an earlier proposal, or when it equals an earlier j_s
+    (k - d <= v_t < j_t, s = v_t - (k - d)) that went in because dup_s.
+    """
+    m, d = v.shape
+    t = np.arange(d)
+    shift = (d - 1).bit_length()
+    # repeats: sorting (v_t, t) row by row puts a repeat right after its first
+    keys = (v << shift) | t
+    keys.sort(axis=1)
+    keys = keys.ravel()
+    vals = keys >> shift
+    at = np.flatnonzero(vals[1:] == vals[:-1]) + 1
+    at = at[at % d != 0]  # not across rows
+    dup = np.zeros(m * d, dtype=bool)
+    dup[at - at % d + (keys[at] & ((1 << shift) - 1))] = True
+    # dup_t |= dup_s along s = v_t - (k - d) < t, by pointer jumping: about log2(d) passes
+    u = v - (k - d)
+    linked = np.flatnonzero((u >= 0) & (u < t))
+    ptr = np.arange(m * d)
+    ptr[linked] = linked - linked % d + u.ravel()[linked]
+    while len(linked):  # a link ending at an unlinked entry is resolved and drops out
+        p = ptr[linked]
+        dup[linked] |= dup[p]
+        q = ptr[p]
+        moving = q != p
+        linked = linked[moving]
+        ptr[linked] = q[moving]
+    out = v.copy()
+    taken = np.flatnonzero(dup)
+    np.put(out, taken, k - d + taken % d)
+    out.sort(axis=1)
+    return out
 
 
 def encode(g: GeneratorMatrix, pixels: np.ndarray) -> np.ndarray:

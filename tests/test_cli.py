@@ -107,6 +107,13 @@ def test_invalid_cli_value_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "c.txt")]) == 2
 
 
+def test_nan_weight_exit_code(tmp_path, capsys):
+    out = tmp_path / "c.txt"
+    assert main(["gen-code", "--k", "4", "--n", "8", "--dist", "2:nan,3:1", "--out", str(out)]) == 2
+    assert "weights must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_snr_exit_code(tmp_path, glyph_pgm, capsys):
     code = str(tmp_path / "code.txt")
     assert main(["gen-code", "--k", "64", "--n", "128", "--dist", "4", "--out", code]) == 0

@@ -1,10 +1,12 @@
 """Code construction: degree distributions, generator/parity-check, encoding."""
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from codedgi import codes
 from codedgi import (
     CodeSpec,
     DegreeDistribution,
@@ -40,6 +42,37 @@ def _by_degree(rows):
         (np.array(ids, dtype=np.int64), np.stack([rows[i] for i in ids]).astype(np.int64))
         for _, ids in sorted(ids_of.items())
     ]
+
+
+def choice_loop(spec):
+    """The per-column loop `build_generator` batched, kept as its reference."""
+    rng = np.random.default_rng(spec.seed)
+    columns = []
+    for _ in range(spec.n_total - spec.k_info):
+        d = sample_degree(spec.dist, rng)
+        support = rng.choice(spec.k_info, size=d, replace=False)
+        support.sort()
+        columns.append(support.astype(np.int64))
+    return SparseRows.of(columns)
+
+
+class CountingRng:
+    """A generator that counts the calls made on it, to catch a per-column loop."""
+
+    def __init__(self, seed, made):
+        self.rng, self.calls = np.random.Generator(np.random.PCG64(seed)), 0
+        made.append(self)
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
 
 
 def ragged_rows(seed, n_cols=300):
@@ -108,6 +141,19 @@ class TestRowKernel:
         r, c = SparseRows.of(rows).entries()
         assert r.tolist() == [0, 0, 2] and c.tolist() == [3, 5, 0]
 
+    def test_copies_the_callers_arrays(self):
+        rows = ragged_rows(5)
+        flat, sizes = np.concatenate(rows), np.array([len(row) for row in rows])
+        matrix = SparseRows(flat, sizes)
+        values = row_values("gray", 300, 6)
+        want = np.array([values[row].sum() for row in rows])
+        assert np.array_equal(matrix.sums(values), want)
+        flat[:] = 0
+        sizes[:] = 0
+        assert np.array_equal(matrix.flat, np.concatenate(rows))
+        assert rows_equal(matrix, rows)
+        assert np.array_equal(matrix.sums(values), want)
+
     def test_inconsistent_sizes_rejected(self):
         with pytest.raises(ValueError):
             SparseRows(np.arange(3), [1, 1])
@@ -160,6 +206,17 @@ class TestDegreeDistribution:
             DegreeDistribution(((2, 0.5), (2, 0.5)))
         with pytest.raises(ValueError):
             DegreeDistribution(((0, 1.0),))
+        assert DegreeDistribution(((np.int64(8), 1.0),)).degrees == (8,)
+
+    @pytest.mark.parametrize("degree", [8.0, True, 2.5, "8"])
+    def test_degrees_must_be_integers(self, degree):
+        with pytest.raises(ValueError, match="degrees must be positive integers"):
+            DegreeDistribution(((degree, 1.0),))
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_weights_must_lie_in_unit_interval(self, weight):
+        with pytest.raises(ValueError, match="weights must lie in"):
+            DegreeDistribution(((2, weight), (3, 1.0)))
 
     def test_validate_for_k(self):
         DegreeDistribution.regular(8).validate_for_k(8)
@@ -183,7 +240,88 @@ class TestSampleDegree:
         assert set(np.unique(draws)) == {2, 4}
 
 
+# sha256 of parity flat + sizes bytes, frozen from the per-column `choice` loop (numpy 2.4):
+# a numpy whose `choice` or `integers` draws differently changes every code and replay
+GOLDEN = {
+    "desk": ((256, 512, ((8, 1.0),)), "e218352fbf32821db6fbafe19c355bef6127e8933d2411a4961773fbff85243e"),
+    "paper-v": ((1024, 2048, ((128, 1.0),)), "de1d55738c80aced2c395e7d06ad4c8a905634041c904ed6b7e41d5ae8a0177e"),
+    "compare-32": ((1024, 2048, ((8, 1.0),)), "19a45dce46dfcf334fb578492cf0b83a010bcd1c9d80e794a7cad80a096f4757"),
+    "mixture": (
+        (256, 512, ((1, 0.2), (3, 0.5), (8, 0.3))),
+        "7f1b19b3e6444bab7bab2067e05f7af0157384bd7df1368f9d860310e1ce05f2",
+    ),
+}
+
+# (K, N, terms): K = 10001 sits on numpy's switch from Floyd's algorithm (d <= K // 50 = 200)
+# to the tail shuffle; (64, 20064, 32) spans two draw chunks
+EDGE_SHAPES = [
+    (50, 120, ((1, 1.0),)),
+    (12, 40, ((12, 1.0),)),
+    (1, 4, ((1, 1.0),)),
+    (30, 30, ((4, 1.0),)),
+    (100, 101, ((7, 1.0),)),
+    (64, 20064, ((32, 1.0),)),
+    (10001, 10061, ((200, 1.0),)),
+    (10001, 10061, ((201, 1.0),)),
+    (64, 300, ((1, 0.5), (4, 0.5))),
+    (256, 700, ((1, 0.2), (3, 0.5), (8, 0.3))),
+]
+
+
+def assert_matches_choice_loop(spec):
+    got, want = build_generator(spec).parity_columns, choice_loop(spec)
+    assert got.flat.dtype == np.int64
+    assert np.array_equal(got.flat, want.flat)
+    assert np.array_equal(got.sizes, want.sizes)
+
+
 class TestBuildGenerator:
+    @pytest.mark.parametrize("k, n, degree", [(256, 512, 8), (1024, 2048, 128), (1024, 2048, 8)])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_choice_loop_at_workload_shapes(self, k, n, degree, seed):
+        assert_matches_choice_loop(CodeSpec(k, n, DegreeDistribution.regular(degree), seed))
+
+    @pytest.mark.parametrize("k, n, terms", EDGE_SHAPES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_choice_loop_at_edges(self, k, n, terms, seed):
+        assert_matches_choice_loop(CodeSpec(k, n, DegreeDistribution(terms), seed))
+
+    def test_matches_choice_loop_through_a_lemire_rejection(self, monkeypatch):
+        # a bound b near 70000 rejects a 32-bit draw with probability (2**32 % b) / 2**32,
+        # about 1e-5, so the 100000 draws of seed 0 hold one; without it the 32-bit
+        # draws used would equal the 5 bounded draws made per column
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingRng(seed, made))
+        spec = CodeSpec(70000, 90000, DegreeDistribution.regular(3), seed=0)
+        got = build_generator(spec).parity_columns
+        state = made[0].rng.bit_generator.state
+        words, bits = 5 * 20000 // 2, np.random.PCG64(0)
+        bits.advance(words)
+        while bits.state["state"] != state["state"]:
+            bits.advance(1)
+            words += 1
+        assert 2 * words - state["has_uint32"] > 5 * 20000
+        monkeypatch.undo()
+        want = choice_loop(spec)
+        assert np.array_equal(got.flat, want.flat)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_codes(self, name):
+        (k, n, terms), digest = GOLDEN[name]
+        cols = build_generator(CodeSpec(k, n, DegreeDistribution(terms), seed=20250810)).parity_columns
+        assert hashlib.sha256(cols.flat.tobytes() + cols.sizes.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "k, n, degree, calls",
+        [(1024, 2048, 8, 1), (1024, 2048, 128, 1), (64, 20064, 32, 2), (10001, 10201, 200, 1)],
+    )
+    def test_one_generator_call_per_draw_chunk(self, monkeypatch, k, n, degree, calls):
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingRng(seed, made))
+        build_generator(CodeSpec(k, n, DegreeDistribution.regular(degree), seed=1))
+        per_call = codes._DRAW_CHUNK // (2 * degree - 1)
+        assert made[0].calls == calls == -(-(n - k) // per_call)
+
     def test_degree_one_gives_singletons(self):
         g = build_generator(CodeSpec(4, 8, DegreeDistribution.regular(1), seed=5))
         assert len(g.parity_columns) == 4

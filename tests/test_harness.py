@@ -137,6 +137,12 @@ class TestConfigParsing:
         for experiment in ("sweep-sampling", "compare", "grayscale"):
             tiny_cfg(experiment=experiment, sampling=1).validate()
 
+    def test_nan_weight_fails_before_run_dir(self, tmp_path):
+        out = tmp_path / "nan"
+        with pytest.raises(ConfigError, match="weights"):
+            run_experiment(tiny_cfg(dist="2:nan,3:1", out=str(out)))
+        assert not out.exists()
+
     def test_distribution_parsing(self):
         dist = parse_distribution("2:0.5,4:0.5")
         assert dist.terms == ((2, 0.5), (4, 0.5))
