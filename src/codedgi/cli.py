@@ -17,6 +17,7 @@ from .bound import bound_sweep
 from .codes import CodeSpec, build_generator, encode, load_generator, save_generator
 from .decoder import BpOptions, decode_sum_bp
 from .forward import (
+    FADING_MODES,
     ChannelParams,
     SceneImage,
     load_measurement_csv,
@@ -86,9 +87,7 @@ def _cmd_decode(args) -> int:
         )
     ens = patterns_from_generator(g)
     meas = load_measurement_csv(args.meas)
-    options = BpOptions(
-        max_iters=args.max_iters, damping=args.damping, pixel_prior_one=args.prior
-    )
+    options = BpOptions(max_iters=args.max_iters, damping=args.damping, prior=args.prior)
     result = decode_sum_bp(meas, ens, options)
     write_pgm(args.out, args.width, args.height, result.pixels.astype(np.float64))
     d = result.diagnostics
@@ -130,15 +129,15 @@ def _cmd_scene(args) -> int:
     return 0
 
 
-def _cmd_experiment(experiment: str, args) -> int:
-    cfg = RunConfig(experiment=experiment)
+def _cmd_experiment(args) -> int:
+    cfg = RunConfig(experiment=args.command)
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError(f"unknown preset {args.preset!r}; have {sorted(PRESETS)}")
         cfg = dataclasses.replace(cfg, **PRESETS[args.preset])
     if args.config:
         cfg = load_config(args.config, base=cfg)
-    overrides = {"experiment": experiment}
+    overrides = {"experiment": args.command}
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out is not None:
@@ -159,39 +158,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"codedgi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-code", help="generate and save a code")
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("gen-code", _cmd_gen_code, "generate and save a code")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="8", help="degree (e.g. 8) or mixture d:w,d:w")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("encode", help="encode a binary scene PGM into a codeword")
+    p = command("encode", _cmd_encode, "encode a binary scene PGM into a codeword")
     p.add_argument("--code", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("sense", help="simulate one bucket acquisition")
+    p = command("sense", _cmd_sense, "simulate one bucket acquisition")
     p.add_argument("--code", required=True)
     p.add_argument("--scene", required=True)
     p.add_argument("--snr-db", type=float, default=10.0)
     p.add_argument("--es", type=float, default=1.0)
-    p.add_argument("--fading", choices=("none", "rayleigh"), default="rayleigh")
+    p.add_argument("--fading", choices=FADING_MODES, default="rayleigh")
     p.add_argument("--no-csi", action="store_true")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("decode", help="BP-decode a measurement CSV")
+    p = command("decode", _cmd_decode, "BP-decode a measurement CSV")
     p.add_argument("--code", required=True)
     p.add_argument("--meas", required=True)
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--damping", type=float, default=0.0, help="message damping in [0, 1)")
-    p.add_argument("--prior", type=float, default=0.5, help="prior P(pixel = 1) in (0, 1)")
+    bp = BpOptions()
+    p.add_argument("--max-iters", type=int, default=bp.max_iters)
+    p.add_argument("--damping", type=float, default=bp.damping, help="message damping")
+    p.add_argument("--prior", type=float, default=bp.prior, help="prior P(pixel = 1)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bound", help="evaluate the analytic BER lower bound")
+    p = command("bound", _cmd_bound, "evaluate the analytic BER lower bound")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dist", default="8")
@@ -199,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, nargs="+", required=True)
     p.add_argument("--out", default="")
 
-    p = sub.add_parser("scene", help="write a builtin scene as PGM")
+    p = command("scene", _cmd_scene, "write a builtin scene as PGM")
     p.add_argument("--name", choices=SCENE_NAMES, required=True)
     p.add_argument("--width", type=int, default=32)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--out", required=True)
 
     for experiment in EXPERIMENTS:
-        p = sub.add_parser(experiment, help=f"run the {experiment} experiment")
+        p = command(experiment, _cmd_experiment, f"run the {experiment} experiment")
         p.add_argument("--config", default="")
         p.add_argument("--preset", default="", help=f"one of {sorted(PRESETS)}")
         p.add_argument("--seed", type=int, default=None)
@@ -219,18 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "gen-code": _cmd_gen_code,
-        "encode": _cmd_encode,
-        "sense": _cmd_sense,
-        "decode": _cmd_decode,
-        "bound": _cmd_bound,
-        "scene": _cmd_scene,
-    }
     try:
-        if args.command in handlers:
-            return handlers[args.command](args)
-        return _cmd_experiment(args.command, args)
+        return args.handler(args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -114,10 +114,10 @@ class RunConfig:
     trials: int = 10
     seed: int = 20250810
     decoder_mode: str = "sum-constraint"
-    max_iters: int = 50
-    stall_window: int = 3
-    damping: float = 0.0
-    prior: float = 0.5
+    max_iters: int = BpOptions.max_iters
+    stall_window: int = BpOptions.stall_window
+    damping: float = BpOptions.damping
+    prior: float = BpOptions.prior
     gray_bits: int = 5
     speckle_duty: float = 0.15
     baseline_on_coded: bool = False
@@ -134,12 +134,7 @@ class RunConfig:
         return DegreeDistribution.regular(self.degree)
 
     def bp_options(self) -> BpOptions:
-        return BpOptions(
-            max_iters=self.max_iters,
-            stall_window=self.stall_window,
-            pixel_prior_one=self.prior,
-            damping=self.damping,
-        )
+        return BpOptions(**{f.name: getattr(self, f.name) for f in fields(BpOptions)})
 
     def validate(self) -> None:
         try:
@@ -201,18 +196,12 @@ PRESETS = {
 
 
 def parse_distribution(text: str) -> DegreeDistribution:
-    """Parse 'd:w,d:w' mixtures, e.g. '2:0.5,4:0.5'."""
-    terms = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" in part:
-            d, w = part.split(":")
-            terms.append((int(d), float(w)))
-        else:
-            terms.append((int(part), 1.0))
+    """Parse 'd:w,d:w' mixtures, e.g. '2:0.5,4:0.5'; a bare 'd' has weight 1."""
     try:
+        terms = []
+        for part in filter(None, (p.strip() for p in text.split(","))):
+            d, colon, w = part.partition(":")
+            terms.append((int(d), float(w) if colon else 1.0))
         return DegreeDistribution(tuple(terms))
     except ValueError as exc:
         raise ConfigError(f"bad degree distribution {text!r}: {exc}") from exc
@@ -453,8 +442,11 @@ def _write_ber_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) 
             fh.write(
                 f"{snr_db:g},{float(bers.mean())!r},{_stderr(bers)!r},{row['p_b']!r},{cfg.trials}\n"
             )
-            for t, (diag, _) in enumerate(by_point[p]):
-                dfh.write(f"{p},{t},{diag.csv_row()}\n")
+            for t, (d, _) in enumerate(by_point[p]):
+                dfh.write(
+                    f"{p},{t},{d.iterations_run},{int(d.converged)},"
+                    f"{d.residual!r},{d.unpinned_pixel_count}\n"
+                )
 
 
 def _write_sampling_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:

@@ -11,6 +11,7 @@ import pytest
 import codedgi
 import codedgi.cli
 from codedgi.cli import main
+from codedgi.decoder import BpOptions
 from codedgi.pgmio import read_pgm, write_pgm
 from codedgi import builtin_scene
 
@@ -105,6 +106,14 @@ def test_invalid_cli_value_exit_code(tmp_path, capsys):
     # degree larger than K is a config error, exit 2
     assert main(["gen-code", "--k", "4", "--n", "8", "--dist", "9",
                  "--out", str(tmp_path / "c.txt")]) == 2
+
+
+@pytest.mark.parametrize("dist", ["2:0.5:1", "8.0"])
+def test_malformed_dist_exit_code(tmp_path, capsys, dist):
+    out = tmp_path / "c.txt"
+    assert main(["gen-code", "--k", "4", "--n", "8", "--dist", dist, "--out", str(out)]) == 2
+    assert f"bad degree distribution {dist!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nan_weight_exit_code(tmp_path, capsys):
@@ -204,8 +213,8 @@ def test_decode_default_flags_keep_bytes(tmp_path, glyph_pgm, capsys):
     assert lines[-2].split("(")[1] == lines[-1].split("(")[1]
 
 
-def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
-    args = _decode_args(tmp_path, glyph_pgm, "--damping", "0.3", "--prior", "0.2")
+def _spy_on_decode(monkeypatch) -> list:
+    """Record the BpOptions every decode_sum_bp call of the CLI receives."""
     seen = []
     real = codedgi.cli.decode_sum_bp
 
@@ -214,8 +223,20 @@ def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
         return real(meas, ens, options)
 
     monkeypatch.setattr(codedgi.cli, "decode_sum_bp", spy)
+    return seen
+
+
+def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
+    args = _decode_args(tmp_path, glyph_pgm, "--damping", "0.3", "--prior", "0.2")
+    seen = _spy_on_decode(monkeypatch)
     assert main([*args, "--out", str(tmp_path / "d.pgm")]) == 0
-    assert (seen[0].damping, seen[0].pixel_prior_one) == (0.3, 0.2)
+    assert (seen[0].damping, seen[0].prior) == (0.3, 0.2)
+
+
+def test_decode_defaults_are_bp_options(tmp_path, glyph_pgm, monkeypatch):
+    seen = _spy_on_decode(monkeypatch)
+    assert main([*_decode_args(tmp_path, glyph_pgm), "--out", str(tmp_path / "d.pgm")]) == 0
+    assert seen == [BpOptions()]
 
 
 @pytest.mark.parametrize(
@@ -223,8 +244,8 @@ def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
     [
         (("--damping", "1"), "damping must lie in [0, 1)"),
         (("--damping", "-0.1"), "damping must lie in [0, 1)"),
-        (("--prior", "0"), "pixel_prior_one must lie in (0, 1)"),
-        (("--prior", "1.5"), "pixel_prior_one must lie in (0, 1)"),
+        (("--prior", "0"), "prior must lie in (0, 1)"),
+        (("--prior", "1.5"), "prior must lie in (0, 1)"),
     ],
 )
 def test_decode_flags_out_of_range_exit_code(tmp_path, glyph_pgm, capsys, flags, message):

@@ -66,7 +66,7 @@ def reference_sum_bp(m, ens, opts):
     """Per-edge flooding BP written directly on count_pmf; O(d^3) per check."""
     k = ens.k_pixels
     amp = effective_amplitudes(m)
-    prior = opts.pixel_prior_one
+    prior = opts.prior
     edges = [(j, i) for j, pat in enumerate(ens.patterns) for i in pat]
     p2m = {e: prior for e in edges}
     m2p = {}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import codedgi
+from codedgi.decoder import BpOptions
 from codedgi.harness import (
     PRESETS,
     ConfigError,
@@ -149,6 +150,20 @@ class TestConfigParsing:
         assert parse_distribution("8").terms == ((8, 1.0),)
         with pytest.raises(ConfigError):
             parse_distribution("2:0.7,4:0.7")
+
+    @pytest.mark.parametrize("text", ["2:0.5:1", "8.0", "2:0.5,x:0.5", "2:"])
+    def test_malformed_distribution_names_the_text(self, text):
+        message = f"bad degree distribution {text!r}"
+        with pytest.raises(ConfigError, match=message):
+            parse_distribution(text)
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(f"dist = {text}\n")
+
+    def test_decoder_settings_default_to_bp_options(self):
+        assert RunConfig().bp_options() == BpOptions()
+        opts = BpOptions(max_iters=7, stall_window=2, prior=0.2, damping=0.3)
+        cfg = replace(RunConfig(), max_iters=7, stall_window=2, prior=0.2, damping=0.3)
+        assert cfg.bp_options() == opts
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
