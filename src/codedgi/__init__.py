@@ -53,12 +53,10 @@ from .bound import (
     bound_sweep,
     column_hit_prob,
     decoding_error_term,
-    pairwise_error,
     rayleigh_ber,
 )
 from .metrics import (
     FrameStack,
-    GrayImage,
     ber,
     grayscale_stack,
     mean_abs_error,

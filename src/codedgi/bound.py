@@ -83,14 +83,6 @@ def avg_column_hit_prob(dist: DegreeDistribution, k: int) -> float:
     return sum(w * column_hit_prob(k, d) for d, w in dist.terms)
 
 
-def pairwise_error(j: int, params: BoundParams) -> float:
-    """AWGN pairwise term for j flipped parity symbols: erfc(...)/2."""
-    if not 0 <= j <= params.n_total - params.k_info:
-        raise ValueError("j out of range")
-    arg = (1 + j) * params.es / (params.rate * params.n0)
-    return 0.5 * math.erfc(math.sqrt(arg))
-
-
 def _xlog(count: np.ndarray, log_y: float) -> np.ndarray:
     """count * log_y, with 0 * log 0 = 0 as in scipy.special.xlogy."""
     if log_y == -math.inf:

@@ -17,6 +17,7 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -131,8 +132,14 @@ class DegreeDistribution:
     def max_degree(self) -> int:
         return max(self.degrees)
 
-    def mean_degree(self) -> float:
-        return sum(d * w for d, w in self.terms)
+    @functools.cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative weights, built as `Generator.choice(p=...)` builds them."""
+        weights = np.array([w for _, w in self.terms])
+        # guard against accumulated rounding in the caller-supplied weights
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def validate_for_k(self, k: int) -> None:
         if self.max_degree > k:
@@ -145,11 +152,8 @@ def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
     """Draw one column weight D with probability equal to its weight."""
     if len(dist.terms) == 1:
         return dist.terms[0][0]
-    degrees = np.array([d for d, _ in dist.terms])
-    weights = np.array([w for _, w in dist.terms])
-    # guard against accumulated rounding in the caller-supplied weights
-    weights = weights / weights.sum()
-    return int(rng.choice(degrees, p=weights))
+    # one double, looked up as `rng.choice(degrees, p=weights)` would: same draw, same stream
+    return int(dist.degrees[dist.cdf.searchsorted(rng.random(), side="right")])
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,6 @@ class CodeSpec:
             raise ValueError(
                 f"invalid shape: N={self.n_total} < K={self.k_info}"
             )
-
-    @property
-    def rate(self) -> float:
-        return self.k_info / self.n_total
 
 
 @dataclass

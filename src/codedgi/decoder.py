@@ -62,7 +62,9 @@ MSG_FLOOR = 1e-12
 class BpOptions:
     """The decoder settings: the one place their names, defaults and ranges live.
 
-    `prior` is the prior probability that a pixel is lit (decode_sum_bp only).
+    `prior` is the prior probability that a pixel is lit. `decode_gf2_bp`
+    reads only `max_iters`: `stall_window`, `prior` and `damping` change
+    nothing in GF(2) mode, though a gf2 run config accepts and records them.
     """
 
     max_iters: int = 50

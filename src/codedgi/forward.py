@@ -31,7 +31,10 @@ FADING_MODES = ("none", "rayleigh")
 
 @dataclass
 class SceneImage:
-    """Row-major reflectance map, values in [0, 1]."""
+    """Row-major reflectance map, values in [0, 1].
+
+    Also the gray image of `metrics`: normalized reconstructions and frame stacks.
+    """
 
     width: int
     height: int
@@ -103,13 +106,6 @@ class ChannelParams:
         except (OverflowError, ZeroDivisionError):
             raise ValueError(f"SNR {snr_db} dB is out of the float range") from None
         return cls(es=es, n0=n0, fading=fading, csi_known=csi_known)
-
-    @property
-    def gamma(self) -> float:
-        """Linear SNR Es/N0 (requires N0 > 0)."""
-        if self.n0 <= 0:
-            raise ValueError("gamma undefined for N0 = 0")
-        return self.es / self.n0
 
 
 @dataclass

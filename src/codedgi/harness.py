@@ -44,13 +44,12 @@ from .forward import (
     sense,
     transmit,
 )
-from .metrics import FrameStack, GrayImage, ber, grayscale_stack, mean_abs_error, normalize, psnr
+from .metrics import FrameStack, ber, grayscale_stack, mean_abs_error, normalize, psnr
 from .pgmio import read_pgm, write_pgm
 from .scenes import SCENE_NAMES, builtin_scene
 
 RNG_ID = "numpy-PCG64; trial seeds via splitmix64(master, point, trial)"
 
-EXPERIMENTS = ("sweep-ber", "sweep-sampling", "compare", "grayscale")
 DECODER_MODES = ("sum-constraint", "gf2")
 
 
@@ -482,14 +481,13 @@ def _write_compare(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) ->
                 fh.write(f"{method},{t},{b!r},{psnr(truth_img, img)!r}\n")
                 if t == 0:
                     name = f"{method}_snr{cfg.snr_db:g}_s{cfg.sampling}_t0.pgm"
-                    write_pgm(os.path.join(run_dir, name), cfg.width, cfg.height, img.values)
+                    write_pgm(os.path.join(run_dir, name), cfg.width, cfg.height, img.reflectance)
 
 
 def _write_grayscale(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Average 2^bits independent binary decodes into a gray image."""
     frames = [methods["ldpc"][1] for _, methods in by_point[0]]
     count = len(frames)
-    truth = GrayImage(cfg.width, cfg.height, scene.reflectance)
     csv_path = os.path.join(run_dir, "grayscale.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.grayscale.v1\n")
@@ -497,7 +495,7 @@ def _write_grayscale(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) 
         prefix = 1
         while prefix <= count:
             stack = FrameStack(cfg.width, cfg.height, frames[:prefix])
-            mae = mean_abs_error(truth, grayscale_stack(stack))
+            mae = mean_abs_error(scene, grayscale_stack(stack))
             fh.write(f"{prefix},{mae!r}\n")
             prefix *= 2
     final = grayscale_stack(FrameStack(cfg.width, cfg.height, frames))
@@ -505,9 +503,9 @@ def _write_grayscale(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) 
         os.path.join(run_dir, f"gray_stack_snr{cfg.snr_db:g}_n{count}.pgm"),
         cfg.width,
         cfg.height,
-        final.values,
+        final.reflectance,
     )
-    write_pgm(os.path.join(run_dir, "gray_truth.pgm"), cfg.width, cfg.height, truth.values)
+    write_pgm(os.path.join(run_dir, "gray_truth.pgm"), cfg.width, cfg.height, scene.reflectance)
 
 
 # experiment -> (manifest seed label, writer)
@@ -517,3 +515,4 @@ _OUTPUTS = {
     "compare": ("trial{t}", _write_compare),
     "grayscale": ("frame{t}", _write_grayscale),
 }
+EXPERIMENTS = tuple(_OUTPUTS)  # in order: the CLI adds a subcommand for each

@@ -7,19 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class GrayImage:
-    width: int
-    height: int
-    values: np.ndarray  # row-major, in [0, 1]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.width * self.height,):
-            raise ValueError("values length must equal width*height")
-        if self.values.min() < 0 or self.values.max() > 1:
-            raise ValueError("values must lie in [0, 1]")
+from .forward import SceneImage
 
 
 @dataclass
@@ -58,7 +46,7 @@ def ber(truth: np.ndarray, decoded: np.ndarray) -> float:
     return float(np.mean(truth.astype(np.uint8) != decoded.astype(np.uint8)))
 
 
-def normalize(values: np.ndarray, width: int, height: int) -> GrayImage:
+def normalize(values: np.ndarray, width: int, height: int) -> SceneImage:
     """Min-max map to [0, 1]; constant input maps to all zeros."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -68,26 +56,26 @@ def normalize(values: np.ndarray, width: int, height: int) -> GrayImage:
         out = np.zeros_like(v)
     else:
         out = (v - lo) / (hi - lo)
-    return GrayImage(width=width, height=height, values=out)
+    return SceneImage(width=width, height=height, reflectance=out)
 
 
-def psnr(truth: GrayImage, recon: GrayImage) -> float:
+def psnr(truth: SceneImage, recon: SceneImage) -> float:
     """-10 log10(MSE) with peak 1; identical images give +inf."""
     if (truth.width, truth.height) != (recon.width, recon.height):
         raise ValueError("image dimensions differ")
-    mse = float(np.mean((truth.values - recon.values) ** 2))
+    mse = float(np.mean((truth.reflectance - recon.reflectance) ** 2))
     if mse == 0:
         return math.inf
     return -10.0 * math.log10(mse)
 
 
-def mean_abs_error(truth: GrayImage, recon: GrayImage) -> float:
+def mean_abs_error(truth: SceneImage, recon: SceneImage) -> float:
     if (truth.width, truth.height) != (recon.width, recon.height):
         raise ValueError("image dimensions differ")
-    return float(np.mean(np.abs(truth.values - recon.values)))
+    return float(np.mean(np.abs(truth.reflectance - recon.reflectance)))
 
 
-def grayscale_stack(stack: FrameStack) -> GrayImage:
+def grayscale_stack(stack: FrameStack) -> SceneImage:
     """Per-pixel arithmetic mean of binary frames.
 
     Output values lie on the lattice {0, 1/count, ..., 1} exactly (the sum
@@ -96,8 +84,8 @@ def grayscale_stack(stack: FrameStack) -> GrayImage:
     total = np.zeros(stack.width * stack.height, dtype=np.int64)
     for f in stack.frames:
         total += f
-    return GrayImage(
+    return SceneImage(
         width=stack.width,
         height=stack.height,
-        values=total.astype(np.float64) / stack.count,
+        reflectance=total.astype(np.float64) / stack.count,
     )

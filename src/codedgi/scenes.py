@@ -6,8 +6,6 @@ import numpy as np
 
 from .forward import SceneImage
 
-SCENE_NAMES = ("glyphs", "radial", "checker", "allzero")
-
 # 3x5 letter bitmaps for the four-letter binary target
 _FONT = {
     "C": ("###", "#..", "#..", "#..", "###"),
@@ -53,18 +51,18 @@ def _checker(p: int, q: int) -> np.ndarray:
     return (((xx // block) + (yy // block)) % 2).astype(np.float64).ravel()
 
 
+def _allzero(p: int, q: int) -> np.ndarray:
+    return np.zeros(p * q)
+
+
+_GENERATORS = {"glyphs": _glyphs, "radial": _radial, "checker": _checker, "allzero": _allzero}
+SCENE_NAMES = tuple(_GENERATORS)
+
+
 def builtin_scene(name: str, p: int, q: int) -> SceneImage:
     """Generate one of the named deterministic scenes at p x q pixels."""
     if p < 8 or q < 8:
         raise ValueError("scene dimensions must be at least 8x8")
-    if name == "glyphs":
-        values = _glyphs(p, q)
-    elif name == "radial":
-        values = _radial(p, q)
-    elif name == "checker":
-        values = _checker(p, q)
-    elif name == "allzero":
-        values = np.zeros(p * q)
-    else:
+    if name not in _GENERATORS:
         raise ValueError(f"unknown builtin scene {name!r}; have {SCENE_NAMES}")
-    return SceneImage(width=p, height=q, reflectance=values)
+    return SceneImage(width=p, height=q, reflectance=_GENERATORS[name](p, q))

@@ -14,7 +14,6 @@ from codedgi import (
     bound_sweep,
     column_hit_prob,
     decoding_error_term,
-    pairwise_error,
     rayleigh_ber,
 )
 from codedgi.bound import binom_weight_sum
@@ -120,28 +119,6 @@ def test_params_reject_non_positive_or_non_finite_channel():
                    (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValueError):
             params(es=es, n0=n0)
-
-
-class TestPairwiseError:
-    def test_vanishes_at_high_snr(self):
-        assert pairwise_error(0, params(n0=1e-12)) < 1e-30
-
-    def test_reference_value(self):
-        # j=0, Es=N0, Rc=1/2 -> erfc(sqrt(2))/2
-        assert pairwise_error(0, params()) == pytest.approx(
-            0.022750131948179195, rel=1e-12
-        )
-
-    def test_monotone_decreasing_in_j(self):
-        p = params(n0=20.0)
-        vals = [pairwise_error(j, p) for j in range(0, 100)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_j_range_checked(self):
-        with pytest.raises(ValueError):
-            pairwise_error(-1, params())
-        with pytest.raises(ValueError):
-            pairwise_error(257, params())
 
 
 class TestBerLowerBound:

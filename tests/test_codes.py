@@ -12,6 +12,7 @@ from codedgi import (
     DegreeDistribution,
     GeneratorMatrix,
     SparseRows,
+    avg_column_hit_prob,
     build_generator,
     derive_parity_check,
     encode,
@@ -195,7 +196,6 @@ class TestDegreeDistribution:
     def test_regular_is_point_mass(self):
         dist = DegreeDistribution.regular(8)
         assert dist.terms == ((8, 1.0),)
-        assert dist.mean_degree() == 8
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -229,6 +229,23 @@ class TestSampleDegree:
         rng = np.random.default_rng(0)
         for dist, expect in ((DegreeDistribution.regular(8), 8), (DegreeDistribution.regular(1), 1)):
             assert all(sample_degree(dist, rng) == expect for _ in range(50))
+
+    @pytest.mark.parametrize("terms", [
+        ((2, 0.5), (8, 0.5)),
+        ((1, 0.2), (3, 0.5), (8, 0.3)),
+        ((3, 0.1), (5, 0.0), (9, 0.9)),
+        ((2, 1 / 3), (4, 1 / 3), (6, 1 / 3)),
+    ])
+    def test_mixture_draws_match_choice(self, terms):
+        # reference: numpy's weighted choice on the same stream, draw for draw
+        dist = DegreeDistribution(terms)
+        degrees = np.array([d for d, _ in terms])
+        weights = np.array([w for _, w in terms])
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            want = int(ref.choice(degrees, p=weights / weights.sum()))
+            assert sample_degree(dist, rng) == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_mixture_frequencies(self):
         # binomial CI oracle: sigma = sqrt(0.25/1e5) ~ 0.00158, so +-0.01 is >6 sigma
@@ -357,7 +374,7 @@ class TestBuildGenerator:
         g = build_generator(CodeSpec(k, k + extra, dist, seed=11))
         degrees = g.parity_columns.sizes
         se = degrees.std(ddof=1) / np.sqrt(extra) / k
-        assert abs(g.parity_duty_ratio() - dist.mean_degree() / k) < 3 * se
+        assert abs(g.parity_duty_ratio() - avg_column_hit_prob(dist, k)) < 3 * se
 
 
 class TestEncode:

@@ -350,7 +350,9 @@ class TestManifestReplay:
 
         Replay and thread checks compare a run with itself, so they stay
         green when a refactor swaps a substream or the point and trial
-        arguments of the seed derivation; these values do not.
+        arguments of the seed derivation; these values do not. The decoder
+        settings are pinned, so a change of their defaults leaves this test
+        freezing the same wiring.
         """
         expect = {
             "sum-constraint": (
@@ -363,13 +365,17 @@ class TestManifestReplay:
             ),
         }
         for mode, (diag_cols, ber_means) in expect.items():
-            run_dir = run_experiment(tiny_cfg(out=str(tmp_path / mode), decoder_mode=mode))
+            run_dir = run_experiment(
+                tiny_cfg(out=str(tmp_path / mode), decoder_mode=mode, damping=0.0, prior=0.5)
+            )
             diag = Path(run_dir, "decode_diagnostics.csv").read_text().splitlines()
             assert [tuple(l.split(",")[2:4]) for l in diag[2:]] == diag_cols, mode
             sweep = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
             assert [l.split(",")[1] for l in sweep[2:]] == ber_means, mode
         run_dir = run_experiment(
-            tiny_cfg(experiment="compare", out=str(tmp_path / "c"), snr_db=10.0)
+            tiny_cfg(
+                experiment="compare", out=str(tmp_path / "c"), snr_db=10.0, damping=0.0, prior=0.5
+            )
         )
         lines = Path(run_dir, "compare.csv").read_text().splitlines()
         assert [l.split(",")[2] for l in lines[2:]] == [
