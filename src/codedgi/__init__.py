@@ -18,12 +18,13 @@ from .codes import (
 )
 from .forward import (
     ChannelParams,
-    effective_amplitudes,
     IlluminationEnsemble,
     Measurement,
     SceneImage,
+    count_loglik,
     patterns_from_generator,
     random_speckle,
+    receiver_gains,
     sense,
     snr_db_to_linear,
     transmit,
@@ -36,7 +37,6 @@ from .decoder import (
     decode_gf2_bp,
     decode_sum_bp,
     measurement_likelihood,
-    symbol_llr,
 )
 from .baselines import (
     Reconstruction,

@@ -13,12 +13,11 @@ least-squares solution. All three return unnormalized real-valued images.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import IlluminationEnsemble, Measurement, effective_amplitudes
+from .forward import IlluminationEnsemble, Measurement, receiver_gains
 
 # The normal equations square the system's condition number, so their Cholesky
 # solve loses about log10(1/rcond) digits, rcond being the Gram's reciprocal
@@ -97,7 +96,7 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     _check_lengths(ens, m)
     rows, pixels = ens.patterns.entries()
     system = np.zeros((len(ens.patterns), ens.k_pixels))
-    system[rows, pixels] = (effective_amplitudes(m) * math.sqrt(m.channel.es))[rows]
+    system[rows, pixels] = receiver_gains(m)[rows]
     gram = system.T @ system
     chol, info = lapack.dpotrf(gram)
     if info == 0:

@@ -19,7 +19,6 @@ from .decoder import BpOptions, decode_sum_bp
 from .forward import (
     FADING_MODES,
     ChannelParams,
-    SceneImage,
     load_measurement_csv,
     patterns_from_generator,
     save_measurement_csv,
@@ -32,15 +31,11 @@ from .harness import (
     RunConfig,
     load_config,
     parse_distribution,
+    read_scene,
     run_experiment,
 )
-from .pgmio import read_pgm, write_pgm
+from .pgmio import write_pgm
 from .scenes import SCENE_NAMES, builtin_scene
-
-
-def _scene_from_pgm(path) -> SceneImage:
-    width, height, values = read_pgm(path)
-    return SceneImage(width=width, height=height, reflectance=values)
 
 
 def _cmd_gen_code(args) -> int:
@@ -58,7 +53,7 @@ def _cmd_gen_code(args) -> int:
 
 def _cmd_encode(args) -> int:
     g = load_generator(args.code)
-    scene = _scene_from_pgm(args.scene)
+    scene = read_scene(args.scene)
     scene.require_binary()
     codeword = encode(g, scene.reflectance.astype(np.uint8))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -70,7 +65,7 @@ def _cmd_encode(args) -> int:
 def _cmd_sense(args) -> int:
     g = load_generator(args.code)
     ens = patterns_from_generator(g)
-    scene = _scene_from_pgm(args.scene)
+    scene = read_scene(args.scene)
     ch = ChannelParams.at_snr_db(args.snr_db, args.es, args.fading, not args.no_csi)
     meas = sense(ens, scene, ch, args.seed)
     save_measurement_csv(meas, args.out)

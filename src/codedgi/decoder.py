@@ -9,12 +9,13 @@ sums over the checks (the residual of decode_sum_bp, the syndrome test of
 decode_gf2_bp) are `SparseRows.sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
-  observes the integer count of lit pixels among its neighbors through a
-  Gaussian channel, so each check-to-pixel message mixes the
-  Poisson-binomial pmf of the other neighbors' count with the per-count
-  likelihoods. All d leave-one-out sums of a check come from one segment
-  tree over its edges, padded to d' = 2**ceil(log2 d) leaves with p = 0 (a
-  neighbor that is never lit, so the padding is exact). The up pass
+  observes the integer count of lit pixels among its neighbors through the
+  channel, so each check-to-pixel message mixes the Poisson-binomial pmf of
+  the other neighbors' count with the per-count likelihoods, which are
+  `forward.count_loglik`'s: the receiver model is written only there. All
+  d leave-one-out sums of a check come from one segment tree over its
+  edges, padded to d' = 2**ceil(log2 d) leaves with p = 0 (a neighbor that
+  is never lit, so the padding is exact). The up pass
   convolves sibling count pmfs level by level; the down pass correlates each
   parent's expected-likelihood table with the sibling pmf to get each
   child's table. That is O(d^2) work per check per iteration in O(log d)
@@ -35,7 +36,8 @@ decode_gf2_bp) are `SparseRows.sums`.
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
   for the binary-symbol channel view of the same system. Its messages are
-  LLRs, log p0/p1.
+  LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
+  `forward.count_loglik`.
 """
 
 from __future__ import annotations
@@ -48,12 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import ParityCheckMatrix
-from .forward import (
-    ChannelParams,
-    IlluminationEnsemble,
-    Measurement,
-    effective_amplitudes,
-)
+from .forward import ChannelParams, IlluminationEnsemble, Measurement, count_loglik, receiver_gains
 
 MSG_FLOOR = 1e-12
 
@@ -62,9 +59,7 @@ MSG_FLOOR = 1e-12
 class BpOptions:
     """The decoder settings: the one place their names, defaults and ranges live.
 
-    `prior` is the prior probability that a pixel is lit. `decode_gf2_bp`
-    reads only `max_iters`: `stall_window`, `prior` and `damping` change
-    nothing in GF(2) mode, though a gf2 run config accepts and records them.
+    `prior` is the prior probability that a pixel is lit.
     """
 
     max_iters: int = 50
@@ -138,14 +133,6 @@ def count_pmf(messages) -> np.ndarray:
     return pmf
 
 
-def symbol_llr(r: float, h_mag: float, ch: ChannelParams) -> float:
-    """log[p(r|bit=0)/p(r|bit=1)] for on-off amplitudes {0, sqrt(Es)}*h_mag."""
-    if ch.n0 <= 0:
-        raise ValueError("symbol LLR requires N0 > 0")
-    a = h_mag * math.sqrt(ch.es)
-    return a * (a - 2.0 * r) / ch.n0
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; both branches of the masked formula in one
     e = np.exp(-np.abs(x))
@@ -160,17 +147,11 @@ def _totals(prior, groups, msgs, n: int) -> np.ndarray:
     return total
 
 
-def _likelihoods(r: np.ndarray, amp: np.ndarray, degree: int, ch: ChannelParams) -> np.ndarray:
-    """(d+1, B) relative likelihoods of counts 0..d, each check scaled to max 1."""
-    counts = np.arange(degree + 1, dtype=np.float64)
-    mean = amp[:, None] * math.sqrt(ch.es) * counts[None, :]
-    if ch.n0 == 0:
-        tol = 1e-9 * np.maximum(1.0, np.abs(r))[:, None]
-        tab = (np.abs(r[:, None] - mean) <= tol).astype(np.float64)
-    else:
-        logf = -((r[:, None] - mean) ** 2) / ch.n0
-        tab = np.exp(logf - logf.max(axis=1, keepdims=True))
-    return tab.T
+def _likelihoods(m: Measurement, ids: np.ndarray, degree: int) -> np.ndarray:
+    """(d+1, B) likelihoods of counts 0..d at shots `ids`, scaled to max 1 (0 if none fits)."""
+    logf = count_loglik(m, np.arange(degree + 1), ids)
+    top = logf.max(axis=1, keepdims=True)
+    return np.exp(logf - np.where(np.isfinite(top), top, 0.0)).T
 
 
 def _edge_logits(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -249,8 +230,8 @@ class _CheckPlan:
         self._leaves[d:, 0] = 1.0
         self._m = gamma[:d, 0], gamma[:d, 1]
 
-    def set_likelihoods(self, r: np.ndarray, amp: np.ndarray, ch: ChannelParams) -> None:
-        self.lik[: self.d + 1] = _likelihoods(r, amp, self.d, ch)
+    def set_likelihoods(self, m: Measurement, ids: np.ndarray) -> None:
+        self.lik[: self.d + 1] = _likelihoods(m, ids, self.d)
 
     def __call__(self, p2m: np.ndarray) -> np.ndarray:
         """(B, d) logits from (B, d) pixel->measurement probabilities."""
@@ -296,19 +277,17 @@ def decode_sum_bp(
             f"ensemble has {len(ens.patterns)} patterns, measurement {m.n_shots}"
         )
     k = ens.k_pixels
-    ch = m.channel
-    amp = effective_amplitudes(m)
     unpinned = int((np.bincount(ens.patterns.flat, minlength=k) == 0).sum())
     prior_logit = math.log(opts.prior) - math.log1p(-opts.prior)
     # a degree-1 check has no other neighbor, so its message never changes:
     # it joins the prior once, and its pixel->measurement messages go unread
     singles = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] == 1]
     groups = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
-    fixed = [_edge_logits(*_likelihoods(m.bucket[ids], amp[ids], 1, ch)) for ids, _ in singles]
+    fixed = [_edge_logits(*_likelihoods(m, ids, 1)) for ids, _ in singles]
     prior = _totals(prior_logit, singles, fixed, k)
     plans = _check_plans([px.shape for _, px in groups])
     for plan, (ids, _) in zip(plans, groups):
-        plan.set_likelihoods(m.bucket[ids], amp[ids], ch)
+        plan.set_likelihoods(m, ids)
     p2m = [np.full(px.shape, opts.prior) for _, px in groups]
 
     marginals = np.full(k, opts.prior)
@@ -341,9 +320,9 @@ def decode_sum_bp(
             p2m[i] = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
 
     pixels = hard.astype(np.uint8)
-    # residual in count units, using the decoder's amplitude model
-    predicted = amp * math.sqrt(ch.es) * ens.patterns.sums(pixels)
-    residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(ch.es))
+    # residual in count units, using the receiver's gains
+    predicted = receiver_gains(m) * ens.patterns.sums(pixels)
+    residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
 
     diag = DecodeDiagnostics(
         iterations_run=iterations,
@@ -355,14 +334,15 @@ def decode_sum_bp(
 
 
 def decode_gf2_bp(
-    llrs: np.ndarray, h: ParityCheckMatrix, opts: BpOptions | None = None
+    llrs: np.ndarray, h: ParityCheckMatrix, max_iters: int = BpOptions.max_iters
 ) -> DecodeResult:
     """Sum-product over GF(2) with the tanh rule; LLR = log p(0)/p(1).
 
-    Exits early as soon as the hard-decision word has zero syndrome; the
-    first K bits of the hard decision are returned as pixels.
+    Stops after `max_iters` iterations, or once the hard-decision word has
+    zero syndrome; the first K bits of the hard decision are the pixels.
     """
-    opts = opts or BpOptions()
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (h.n_total,):
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
@@ -373,7 +353,7 @@ def decode_gf2_bp(
     hard = total < 0.0
     iterations = 0
     converged = False
-    for iteration in range(1, opts.max_iters + 1):
+    for iteration in range(1, max_iters + 1):
         # check -> variable from the previous totals, tanh rule with
         # prefix/suffix products
         for i, (_, vr) in enumerate(groups):

@@ -10,7 +10,8 @@ and adds real Gaussian noise of variance N0/2:
 path sends codeword bits through the same `transmit`. The patterns are a
 `codes.SparseRows` (one row of lit pixels per pattern), so `pattern_sums` is
 its row sum, over the same layout the decoder reads.
-`ChannelParams.at_snr_db` turns an SNR in dB into a channel.
+`ChannelParams.at_snr_db` turns an SNR in dB into a channel. The receiver's
+model of it is written once, here: `receiver_gains` and `count_loglik`.
 
 Fading magnitudes are Rayleigh with unit second moment (the magnitude of a
 circularly-symmetric unit-variance complex Gaussian); with fading off they
@@ -198,17 +199,29 @@ def sense(
 RAYLEIGH_MEAN_MAG = math.sqrt(math.pi) / 2.0  # mean |h| at unit second moment
 
 
-def effective_amplitudes(m: Measurement) -> np.ndarray:
-    """Fading magnitudes as a receiver sees them.
+def receiver_gains(m: Measurement) -> np.ndarray:
+    """Per-shot gain |h_n| sqrt(Es) as the receiver sees it.
 
     With CSI the true per-shot magnitudes are available; without it every
     shot is assigned the ensemble-mean magnitude, which deliberately
     mismatches the reconstruction against the realized fading.
     """
-    if m.channel.csi_known:
-        return m.fading_mag
     mean = RAYLEIGH_MEAN_MAG if m.channel.fading == "rayleigh" else 1.0
-    return np.full_like(m.fading_mag, mean)
+    mag = m.fading_mag if m.channel.csi_known else np.full_like(m.fading_mag, mean)
+    return mag * math.sqrt(m.channel.es)
+
+
+def count_loglik(m: Measurement, counts, shots=slice(None)) -> np.ndarray:
+    """(shots, counts) log p(r | count c) = -(r - g c)^2 / N0 + const, g the receiver's gain.
+
+    At N0 = 0, the exact-match indicator: 0 where |r - g c| <= 1e-9 max(1, |r|), else -inf.
+    """
+    r = m.bucket[shots][:, None]
+    mean = receiver_gains(m)[shots][:, None] * np.asarray(counts, dtype=np.float64)[None, :]
+    if m.channel.n0 == 0:
+        fits = np.abs(r - mean) <= 1e-9 * np.maximum(1.0, np.abs(r))
+        return np.where(fits, 0.0, -np.inf)
+    return -((r - mean) ** 2) / m.channel.n0
 
 
 def snr_db_to_linear(x_db: float) -> float:
@@ -250,11 +263,13 @@ def load_measurement_csv(path) -> Measurement:
     for key in ("es", "n0", "fading", "csi_known", "seed"):
         if key not in meta:
             raise ValueError(f"{path}: no '# {key} = ...' header line")
+    if meta["csi_known"] not in ("0", "1"):
+        raise ValueError(f"{path}: csi_known must be 0 or 1, got {meta['csi_known']!r}")
     ch = ChannelParams(
         es=float(meta["es"]),
         n0=float(meta["n0"]),
         fading=meta["fading"],
-        csi_known=bool(int(meta["csi_known"])),
+        csi_known=meta["csi_known"] == "1",
     )
     return Measurement(
         bucket=np.array(bucket),

@@ -34,11 +34,11 @@ from .codes import (
     derive_parity_check,
     encode,
 )
-from .decoder import BpOptions, decode_gf2_bp, decode_sum_bp, symbol_llr
+from .decoder import BpOptions, decode_gf2_bp, decode_sum_bp
 from .forward import (
     ChannelParams,
     SceneImage,
-    effective_amplitudes,
+    count_loglik,
     patterns_from_generator,
     random_speckle,
     sense,
@@ -260,16 +260,22 @@ def load_config(path, base: RunConfig | None = None) -> RunConfig:
         return parse_config_text(fh.read(), base=base)
 
 
+def read_scene(path) -> SceneImage:
+    """A scene from a PGM file: gray / 255 is the reflectance."""
+    width, height, values = read_pgm(path)
+    return SceneImage(width=width, height=height, reflectance=values)
+
+
 def load_scene(cfg: RunConfig) -> SceneImage:
     if cfg.scene in SCENE_NAMES:
         return builtin_scene(cfg.scene, cfg.width, cfg.height)
     if cfg.scene.endswith(".pgm"):
-        width, height, values = read_pgm(cfg.scene)
-        if (width, height) != (cfg.width, cfg.height):
+        scene = read_scene(cfg.scene)
+        if (scene.width, scene.height) != (cfg.width, cfg.height):
             raise ConfigError(
-                f"scene file is {width}x{height}, config says {cfg.width}x{cfg.height}"
+                f"scene file is {scene.width}x{scene.height}, config says {cfg.width}x{cfg.height}"
             )
-        return SceneImage(width=width, height=height, reflectance=values)
+        return scene
     raise ConfigError(f"scene {cfg.scene!r} is neither builtin {SCENE_NAMES} nor a .pgm path")
 
 
@@ -345,16 +351,16 @@ def _trial(args):
         seed=_substream(seed, _SUB_CODE),
     )
     g = build_generator(spec)
-    opts = cfg.bp_options()
     ens = None
     if cfg.decoder_mode == "gf2":
         meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
-        llrs = symbol_llr(meas.bucket, effective_amplitudes(meas), ch)
-        result = decode_gf2_bp(llrs, derive_parity_check(g), opts)
+        # on-off symbols are counts 0 and 1: the LLR log p0/p1 is their difference
+        loglik = count_loglik(meas, (0, 1))
+        result = decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.max_iters)
     else:
         ens = patterns_from_generator(g)
         meas = sense(ens, scene, ch, _substream(seed, _SUB_SENSE))
-        result = decode_sum_bp(meas, ens, opts)
+        result = decode_sum_bp(meas, ens, cfg.bp_options())
     methods = {"ldpc": (ber(truth, result.pixels), result.pixels)}
     if cfg.experiment == "compare":
         if cfg.baseline_on_coded:

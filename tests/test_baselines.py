@@ -15,10 +15,10 @@ from codedgi import (
     builtin_scene,
     cgi_reconstruct,
     dgi_reconstruct,
-    effective_amplitudes,
     otsu_threshold,
     pinv_reconstruct,
     random_speckle,
+    receiver_gains,
     sense,
 )
 from codedgi.baselines import Reconstruction, _centred_correlation
@@ -199,7 +199,7 @@ class TestPinv:
         # neither may take the normal equations: the first would lose about
         # 12 of 16 digits there, and the second has a singular Gram
         ens, m = acquire()
-        system = effective_amplitudes(m)[:, None] * ens.dense()
+        system = receiver_gains(m)[:, None] * ens.dense()
         want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
         np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=atol)
 
@@ -249,7 +249,7 @@ class TestBenchmarkScale:
 
     def test_pinv_matches_svd_least_squares(self, acquisition):
         ens, m = acquisition
-        system = effective_amplitudes(m)[:, None] * ens.dense()
+        system = receiver_gains(m)[:, None] * ens.dense()
         want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
         np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=1e-9)
 

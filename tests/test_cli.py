@@ -181,6 +181,16 @@ def test_measurement_csv_without_header_exit_code(tmp_path, capsys):
     assert "'# es = ...'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["2", "-1", "yes"])
+def test_measurement_csv_bad_csi_flag_exit_code(tmp_path, glyph_pgm, capsys, flag):
+    args = _decode_args(tmp_path, glyph_pgm, "--out", str(tmp_path / "d.pgm"))
+    meas = tmp_path / "meas.csv"
+    meas.write_text(meas.read_text().replace("# csi_known = 1", f"# csi_known = {flag}"))
+    assert main(args) == 2
+    assert f"csi_known must be 0 or 1, got '{flag}'" in capsys.readouterr().err
+    assert not (tmp_path / "d.pgm").exists()
+
+
 def test_generator_with_n_below_k_exit_code(tmp_path, capsys):
     code = tmp_path / "code.txt"
     code.write_text("3 2 -1 0\n")

@@ -22,9 +22,11 @@ from codedgi import (
     DegreeDistribution,
     GeneratorMatrix,
     IlluminationEnsemble,
+    Measurement,
     SceneImage,
     SparseRows,
     build_generator,
+    count_loglik,
     count_pmf,
     decode_gf2_bp,
     decode_sum_bp,
@@ -33,15 +35,10 @@ from codedgi import (
     measurement_likelihood,
     patterns_from_generator,
     sense,
-    symbol_llr,
     syndrome,
 )
-from codedgi.decoder import (
-    MSG_FLOOR,
-    _CheckPlan,
-    _sigmoid,
-    effective_amplitudes,
-)
+from codedgi.decoder import MSG_FLOOR, _CheckPlan, _sigmoid
+from codedgi.forward import RAYLEIGH_MEAN_MAG
 from codedgi.harness import parse_distribution
 
 
@@ -62,10 +59,17 @@ def exhaustive_marginals(m, ens, prior=0.5):
     return post / z
 
 
+def receiver_magnitudes(m):
+    """|h_n| as the receiver assumes it: true with CSI, else the mean magnitude."""
+    if m.channel.csi_known:
+        return m.fading_mag
+    return np.full(m.n_shots, RAYLEIGH_MEAN_MAG if m.channel.fading == "rayleigh" else 1.0)
+
+
 def reference_sum_bp(m, ens, opts):
     """Per-edge flooding BP written directly on count_pmf; O(d^3) per check."""
     k = ens.k_pixels
-    amp = effective_amplitudes(m)
+    amp = receiver_magnitudes(m)
     prior = opts.prior
     edges = [(j, i) for j, pat in enumerate(ens.patterns) for i in pat]
     p2m = {e: prior for e in edges}
@@ -167,27 +171,6 @@ class TestCountPmf:
             count_pmf([0.5, 1.2])
 
 
-class TestSymbolLlr:
-    def test_midpoint_gives_zero(self):
-        ch = ChannelParams(es=1.0, n0=0.7)
-        h = 0.6
-        assert symbol_llr(h * math.sqrt(1.0) / 2, h, ch) == pytest.approx(0.0, abs=1e-14)
-
-    def test_closed_form_value(self):
-        # (h sqrt(Es)) (h sqrt(Es) - 2r) / N0 at r=0, Es=N0=h=1
-        assert symbol_llr(0.0, 1.0, ChannelParams(es=1.0, n0=1.0)) == pytest.approx(1.0)
-
-    def test_strictly_decreasing_in_r(self):
-        ch = ChannelParams(es=2.0, n0=0.3)
-        rs = np.linspace(-2, 3, 40)
-        vals = [symbol_llr(r, 0.9, ch) for r in rs]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_requires_noise(self):
-        with pytest.raises(ValueError):
-            symbol_llr(0.0, 1.0, ChannelParams(es=1.0, n0=0.0))
-
-
 def oracle_check_messages(p, r, amp, ch):
     """Per-edge leave-one-out messages from count_pmf and measurement_likelihood."""
     b, d = p.shape
@@ -240,14 +223,14 @@ class TestCheckUpdate:
             if n0 == 0:
                 counts[0] += 0.5
             r = amp * counts + rng.normal(0.0, math.sqrt(n0 / 2), b)
-            plan.set_likelihoods(r, amp, ch)
+            plan.set_likelihoods(Measurement(r, amp, ch, seed=0), np.arange(b))
             expect = oneshot_check_update(p, oneshot_likelihood_table(r, amp, d, ch))
             assert np.array_equal(plan(p), expect)
 
 
 def planned_check_update(p, r, amp, ch):
     plan = _CheckPlan(*p.shape)
-    plan.set_likelihoods(r, amp, ch)
+    plan.set_likelihoods(Measurement(r, amp, ch, seed=0), np.arange(len(r)))
     return plan(p)
 
 
@@ -524,7 +507,8 @@ class TestDecodeGf2Bp:
         r = cw * math.sqrt(ch.es)  # clean on-off amplitudes
         r = r.astype(float)
         r[0] = 0.45 * math.sqrt(ch.es)  # push the first symbol toward 0
-        llrs = np.array([symbol_llr(ri, 1.0, ch) for ri in r])
+        loglik = count_loglik(Measurement(r, np.ones(5), ch, seed=0), (0, 1))
+        llrs = loglik[:, 0] - loglik[:, 1]
         res = decode_gf2_bp(llrs, h)
         assert np.array_equal(res.pixels, true_bits)
         # exhaustive ML oracle agrees
@@ -537,7 +521,7 @@ class TestDecodeGf2Bp:
         converged_runs = 0
         for _ in range(30):
             llrs = rng.normal(0, 2, 24)
-            res = decode_gf2_bp(llrs, h, BpOptions(max_iters=30))
+            res = decode_gf2_bp(llrs, h, max_iters=30)
             if res.diagnostics.converged:
                 converged_runs += 1
                 assert len(res.marginals) == 24
@@ -550,7 +534,7 @@ class TestDecodeGf2Bp:
         rng = np.random.default_rng(5)
         saw_unconverged = False
         for _ in range(50):
-            res = decode_gf2_bp(rng.normal(0, 1, 5), h, BpOptions(max_iters=5))
+            res = decode_gf2_bp(rng.normal(0, 1, 5), h, max_iters=5)
             assert res.diagnostics.iterations_run <= 5
             if not res.diagnostics.converged:
                 saw_unconverged = True
@@ -560,3 +544,11 @@ class TestDecodeGf2Bp:
         h = derive_parity_check(self.toy())
         with pytest.raises(ValueError):
             decode_gf2_bp(np.zeros(4), h)
+
+    def test_rejects_max_iters_below_one_as_bp_options_does(self):
+        h = derive_parity_check(self.toy())
+        with pytest.raises(ValueError) as gf2:
+            decode_gf2_bp(np.zeros(5), h, max_iters=0)
+        with pytest.raises(ValueError) as options:
+            BpOptions(max_iters=0)
+        assert str(gf2.value) == str(options.value) == "max_iters must be >= 1"

@@ -1,6 +1,7 @@
 """Forward model: ensembles, fading/noise statistics, serialization."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ from codedgi import (
     IlluminationEnsemble,
     SceneImage,
     SparseRows,
+    Measurement,
     build_generator,
-    effective_amplitudes,
+    count_loglik,
+    measurement_likelihood,
     patterns_from_generator,
     random_speckle,
+    receiver_gains,
     sense,
     snr_db_to_linear,
 )
 from codedgi.forward import (
+    FADING_MODES,
     RAYLEIGH_MEAN_MAG,
     load_measurement_csv,
     pattern_sums,
@@ -212,13 +217,84 @@ class TestChannelParams:
             with pytest.raises(ValueError, match="range"):
                 ChannelParams.at_snr_db(bad)
 
-    def test_effective_amplitudes(self):
+
+class TestReceiverModel:
+    """The receiver's gains and count log-likelihoods, against independent oracles."""
+
+    @pytest.mark.parametrize(
+        "fading, blind", [("rayleigh", RAYLEIGH_MEAN_MAG), ("none", 1.0)], ids=["rayleigh", "none"]
+    )
+    def test_receiver_gains(self, fading, blind):
+        # sqrt(Es) = 1.5 exactly, so a gain that drops it is off by 1.5x
         ens = IlluminationEnsemble(1, SparseRows.of([np.array([0])] * 4))
-        scene = flat_scene([1.0])
-        m = sense(ens, scene, ChannelParams(fading="rayleigh", csi_known=True), seed=1)
-        assert np.array_equal(effective_amplitudes(m), m.fading_mag)
-        m2 = sense(ens, scene, ChannelParams(fading="rayleigh", csi_known=False), seed=1)
-        assert np.all(effective_amplitudes(m2) == RAYLEIGH_MEAN_MAG)
+        ch = ChannelParams(es=2.25, fading=fading, csi_known=True)
+        m = sense(ens, flat_scene([1.0]), ch, seed=1)
+        assert np.array_equal(receiver_gains(m), 1.5 * m.fading_mag)
+        m2 = sense(ens, flat_scene([1.0]), replace(ch, csi_known=False), seed=1)
+        assert np.array_equal(m2.fading_mag, m.fading_mag)
+        assert np.array_equal(receiver_gains(m2), np.full(4, 1.5 * blind))
+
+    @pytest.mark.parametrize("csi", [True, False])
+    @pytest.mark.parametrize("fading", FADING_MODES)
+    def test_matches_measurement_likelihood(self, fading, csi):
+        # log density ratios across counts, against the scalar oracle fed the
+        # magnitudes the receiver assumes
+        ch = ChannelParams(es=2.5, n0=0.8, fading=fading, csi_known=csi)
+        m = transmit(np.arange(12) % 5, ch, seed=3)
+        blind = RAYLEIGH_MEAN_MAG if fading == "rayleigh" else 1.0
+        mags = m.fading_mag if csi else np.full(12, blind)
+        counts = np.arange(7)
+        got = count_loglik(m, counts)
+        want = np.log(
+            [[measurement_likelihood(r, c, h, ch) for c in counts] for r, h in zip(m.bucket, mags)]
+        )
+        np.testing.assert_allclose(got - got[:, :1], want - want[:, :1], rtol=0, atol=1e-12)
+        ids = np.array([7, 0, 3])
+        assert np.array_equal(count_loglik(m, counts, ids), got[ids])
+
+    def test_noiseless_indicator(self):
+        ch = ChannelParams(es=4.0, n0=0.0)
+        # gain 2: r = 2 is count 1, r = 4 + 1e-12 is count 2 within the
+        # tolerance, and r = 3 or 4.01 fits no count
+        r = np.array([2.0, 4.0 + 1e-12, 3.0, 4.01])
+        m = Measurement(bucket=r, fading_mag=np.ones(4), channel=ch, seed=0)
+        expect = np.full((4, 4), -np.inf)
+        expect[0, 1] = expect[1, 2] = 0.0
+        assert np.array_equal(count_loglik(m, np.arange(4)), expect)
+        oracle = [[measurement_likelihood(x, c, 1.0, ch) for c in range(4)] for x in r]
+        assert np.array_equal(np.exp(expect), oracle)
+
+
+def onoff_llr(r, h_mag, ch):
+    """GF(2) channel LLR log p(r | count 0) / p(r | count 1), as the harness forms it."""
+    r = np.atleast_1d(np.asarray(r, dtype=np.float64))
+    m = Measurement(bucket=r, fading_mag=np.broadcast_to(h_mag, r.shape), channel=ch, seed=0)
+    loglik = count_loglik(m, (0, 1))
+    return loglik[:, 0] - loglik[:, 1]
+
+
+class TestOnOffLlr:
+    def test_midpoint_gives_zero(self):
+        ch = ChannelParams(es=1.0, n0=0.7)
+        h = 0.6
+        assert onoff_llr(h * math.sqrt(1.0) / 2, h, ch)[0] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("csi", [True, False])
+    @pytest.mark.parametrize("snr_db", [0.0, 8.0, 14.0])
+    def test_closed_form_value(self, snr_db, csi):
+        # a (a - 2r) / N0 with a the receiver's gain, on desk-sized on-off traffic
+        assert onoff_llr(0.0, 1.0, ChannelParams(es=1.0, n0=1.0))[0] == pytest.approx(1.0)
+        ch = ChannelParams.at_snr_db(snr_db, 2.0, "rayleigh", csi)
+        m = transmit(np.random.default_rng(4).integers(0, 2, 512), ch, seed=5)
+        a = receiver_gains(m)
+        loglik = count_loglik(m, (0, 1))
+        np.testing.assert_allclose(
+            loglik[:, 0] - loglik[:, 1], a * (a - 2.0 * m.bucket) / ch.n0, rtol=0, atol=1e-12
+        )
+
+    def test_strictly_decreasing_in_r(self):
+        vals = onoff_llr(np.linspace(-2, 3, 40), 0.9, ChannelParams(es=2.0, n0=0.3))
+        assert np.all(np.diff(vals) < 0)
 
 
 class TestSnrConversions:
@@ -246,3 +322,12 @@ class TestMeasurementCsv:
         np.testing.assert_array_equal(m.fading_mag, m2.fading_mag)
         assert m2.channel == ch
         assert m2.seed == 42
+
+    @pytest.mark.parametrize("flag", ["2", "-1", "yes", "1.0", ""])
+    def test_csi_flag_must_be_0_or_1(self, tmp_path, flag):
+        path = tmp_path / "meas.csv"
+        save_measurement_csv(transmit(np.ones(3), ChannelParams(), seed=1), path)
+        assert load_measurement_csv(path).channel.csi_known is True
+        path.write_text(path.read_text().replace("# csi_known = 1", f"# csi_known = {flag}"))
+        with pytest.raises(ValueError, match=f"csi_known must be 0 or 1, got '{flag}'"):
+            load_measurement_csv(path)

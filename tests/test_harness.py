@@ -18,12 +18,15 @@ from codedgi.harness import (
     RunConfig,
     derive_trial_seed,
     load_config,
+    load_scene,
     parse_config_text,
     parse_distribution,
     read_manifest_config,
+    read_scene,
     replay,
     run_experiment,
 )
+from codedgi.pgmio import write_pgm
 
 
 def tiny_cfg(**kw):
@@ -232,6 +235,17 @@ class TestBerSweep:
         cfg = tiny_cfg(out=str(tmp_path / "g"), decoder_mode="gf2")
         run_dir = run_experiment(cfg)
         assert os.path.exists(os.path.join(run_dir, "ber_sweep.csv"))
+
+    def test_pgm_scene_is_read_then_size_checked(self, tmp_path):
+        path = tmp_path / "scene.pgm"
+        glyphs = codedgi.builtin_scene("glyphs", 8, 8)
+        write_pgm(path, 8, 8, glyphs.reflectance)
+        scene = load_scene(tiny_cfg(scene=str(path)))
+        assert (scene.width, scene.height) == (8, 8)
+        assert np.array_equal(scene.reflectance, read_scene(path).reflectance)
+        assert np.array_equal(scene.reflectance, glyphs.reflectance)
+        with pytest.raises(ConfigError, match="scene file is 8x8, config says 4x16"):
+            load_scene(tiny_cfg(scene=str(path), width=4, height=16))
 
     def test_grayscale_scene_rejected_for_ber(self, tmp_path):
         cfg = tiny_cfg(scene="radial", out=str(tmp_path / "r"))
