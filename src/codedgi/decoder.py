@@ -38,6 +38,14 @@ decode_gf2_bp) are `SparseRows.sums`.
   for the binary-symbol channel view of the same system. Its messages are
   LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
   `forward.count_loglik`.
+
+Undamped loopy BP often settles into an exact cycle of message states. Both
+decoders hand their full message state to one `_CycleWatch` each iteration;
+once it has found a repeat of period p and proved that the stop rule can no
+longer fire, the decoder stops at the first iteration congruent to
+max_iters mod p, whose result is max_iters' bit for bit, and reports it as
+max_iters. `DecodeDiagnostics.iterations_computed` counts the iterations
+actually run.
 """
 
 from __future__ import annotations
@@ -80,10 +88,24 @@ class BpOptions:
 
 @dataclass
 class DecodeDiagnostics:
+    """How a decode ended.
+
+    `iterations_run` is the iteration the decode's result belongs to, as if
+    every iteration had been computed. `iterations_computed` is how many were
+    (fewer once a repeated message state is skipped; by default all), and
+    `cycle_period` is the period of that repeat, 0 when none was found.
+    """
+
     iterations_run: int
     converged: bool
     residual: float
     unpinned_pixel_count: int
+    iterations_computed: int | None = None
+    cycle_period: int = 0
+
+    def __post_init__(self):
+        if self.iterations_computed is None:
+            self.iterations_computed = self.iterations_run
 
 
 @dataclass
@@ -260,6 +282,50 @@ def _check_plans(shapes: list[tuple[int, int]]) -> list[_CheckPlan]:
     return list(_plans.by_shape.values())
 
 
+class _CycleWatch:
+    """Finds an exact repeat of a decoder's message state and says when to stop.
+
+    `ends(i, state)` takes the full message state that iteration i's result
+    (hard decisions, marginals) is computed from. It keeps a copy of the
+    state seen at i = 1, 2, 4, 8, ... and compares each later state with the
+    copy by `np.array_equal` (Brent's cycle detection, BIT 1980). If the
+    state at t equals the one kept at c < t, iteration is a deterministic
+    map of that state, so the states, and with them the results, repeat
+    with period lam = t - c from iteration c on: iteration i and iteration
+    `last` (max_iters) give the same result whenever i >= c and
+    i = last (mod lam).
+
+    The decoder may then stop at such an i and report `last`, once its
+    stop rule provably never fires before `last`. A rule that reads the
+    results of iterations i - memory .. i reads only repeating results for
+    i >= c + memory, so it fires at i exactly when it fires at i + lam. Once
+    it has failed at lam consecutive such i, the last of them
+    c + memory + lam - 1, it has failed at every phase of the cycle and never
+    fires. The GF(2) syndrome test has memory 0, and every i >= t is
+    certified. The stall rule of decode_sum_bp has memory stall_window. A
+    fixed point (lam = 1) has constant hard decisions from c on, so the
+    stall rule fires by c + stall_window, before the skip is certified: the
+    decode still converges, at the same iteration.
+    """
+
+    def __init__(self, last: int, memory: int):
+        self.last, self.memory = last, memory
+        self.kept, self.kept_at, self.period = None, 0, 0
+
+    def ends(self, i: int, state: list[np.ndarray]) -> bool:
+        """Whether iteration i's result is iteration `last`'s, with no stop in between."""
+        if not self.period:
+            if self.kept is not None and all(map(np.array_equal, state, self.kept)):
+                self.period = i - self.kept_at
+            elif i & (i - 1) == 0:
+                self.kept, self.kept_at = [s.copy() for s in state], i
+        return (
+            self.period > 0
+            and i >= self.kept_at + self.memory + self.period - 1
+            and (self.last - i) % self.period == 0
+        )
+
+
 def decode_sum_bp(
     m: Measurement, ens: IlluminationEnsemble, opts: BpOptions | None = None
 ) -> DecodeResult:
@@ -269,7 +335,10 @@ def decode_sum_bp(
     check updates, then recomputes marginals and hard decisions, then (if
     another iteration follows) all pixel updates. Terminates when the hard
     decisions are unchanged for stall_window consecutive iterations, or at
-    max_iters.
+    max_iters. Once the pixel->measurement messages repeat exactly (see
+    `_CycleWatch`), it stops at the first computed iteration that gives
+    max_iters' result with the stall rule certified never to fire, and
+    reports it as max_iters: the same result, fewer iterations computed.
     """
     opts = opts or BpOptions()
     if len(ens.patterns) != m.n_shots:
@@ -293,15 +362,14 @@ def decode_sum_bp(
     marginals = np.full(k, opts.prior)
     hard = marginals > 0.5
     stable = 0
-    iterations = 0
     converged = False
+    watch = _CycleWatch(opts.max_iters, opts.stall_window)
 
     for iteration in range(1, opts.max_iters + 1):
         m2p = [plan(p) for plan, p in zip(plans, p2m)]
         total = _totals(prior, groups, m2p, k)
         marginals = _sigmoid(total)
         new_hard = marginals > 0.5
-        iterations = iteration
         if np.array_equal(new_hard, hard):
             stable += 1
         else:
@@ -310,7 +378,7 @@ def decode_sum_bp(
         if stable >= opts.stall_window:
             converged = True
             break
-        if iteration == opts.max_iters:
+        if iteration == opts.max_iters or watch.ends(iteration, p2m):
             break
         # pixel pass: sum incoming logits once, subtract own edge per message
         for i, (_, px) in enumerate(groups):
@@ -325,10 +393,12 @@ def decode_sum_bp(
     residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
 
     diag = DecodeDiagnostics(
-        iterations_run=iterations,
+        iterations_run=iteration if converged else opts.max_iters,
         converged=converged,
         residual=residual,
         unpinned_pixel_count=unpinned,
+        iterations_computed=iteration,
+        cycle_period=watch.period,
     )
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
@@ -340,6 +410,10 @@ def decode_gf2_bp(
 
     Stops after `max_iters` iterations, or once the hard-decision word has
     zero syndrome; the first K bits of the hard decision are the pixels.
+    Once the check->variable messages repeat exactly (see `_CycleWatch`),
+    every phase of the repeat has already failed the syndrome test, which
+    reads only the current word, so it stops at the first computed
+    iteration that gives max_iters' result and reports it as max_iters.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -351,8 +425,8 @@ def decode_gf2_bp(
     c2v = [np.zeros(vr.shape) for _, vr in groups]
     total = llrs.copy()
     hard = total < 0.0
-    iterations = 0
     converged = False
+    watch = _CycleWatch(max_iters, 0)
     for iteration in range(1, max_iters + 1):
         # check -> variable from the previous totals, tanh rule with
         # prefix/suffix products
@@ -367,16 +441,19 @@ def decode_gf2_bp(
 
         total = _totals(llrs, groups, c2v, h.n_total)
         hard = total < 0.0
-        iterations = iteration
         if not (h.rows.sums(hard) & 1).any():
             converged = True
             break
+        if watch.ends(iteration, c2v):
+            break
 
     diag = DecodeDiagnostics(
-        iterations_run=iterations,
+        iterations_run=iteration if converged else max_iters,
         converged=converged,
         residual=math.nan,
         unpinned_pixel_count=0,
+        iterations_computed=iteration,
+        cycle_period=watch.period,
     )
     return DecodeResult(
         pixels=hard[: h.k_info].astype(np.uint8),

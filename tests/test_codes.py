@@ -270,7 +270,8 @@ GOLDEN = {
 }
 
 # (K, N, terms): K = 10001 sits on numpy's switch from Floyd's algorithm (d <= K // 50 = 200)
-# to the tail shuffle; (64, 20064, 32) spans two draw chunks
+# to the tail shuffle; (64, 20064, 32) spans two draw chunks; the last two pass the
+# crossover to the per-column loop, at degree max(128, K // 16)
 EDGE_SHAPES = [
     (50, 120, ((1, 1.0),)),
     (12, 40, ((12, 1.0),)),
@@ -282,6 +283,8 @@ EDGE_SHAPES = [
     (10001, 10061, ((201, 1.0),)),
     (64, 300, ((1, 0.5), (4, 0.5))),
     (256, 700, ((1, 0.2), (3, 0.5), (8, 0.3))),
+    (1024, 1100, ((129, 1.0),)),
+    (4096, 4140, ((257, 1.0),)),
 ]
 
 
@@ -338,6 +341,14 @@ class TestBuildGenerator:
         build_generator(CodeSpec(k, n, DegreeDistribution.regular(degree), seed=1))
         per_call = codes._DRAW_CHUNK // (2 * degree - 1)
         assert made[0].calls == calls == -(-(n - k) // per_call)
+
+    @pytest.mark.parametrize("k, degree", [(256, 129), (1024, 129), (4096, 257), (1024, 512)])
+    def test_degree_past_the_crossover_builds_column_by_column(self, monkeypatch, k, degree):
+        # above max(128, K // 16) the per-column loop is faster: one `choice` per column
+        made = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingRng(seed, made))
+        build_generator(CodeSpec(k, k + 40, DegreeDistribution.regular(degree), seed=1))
+        assert made[0].calls == 40
 
     def test_degree_one_gives_singletons(self):
         g = build_generator(CodeSpec(4, 8, DegreeDistribution.regular(1), seed=5))

@@ -1,0 +1,304 @@
+"""Skipping a repeated BP message state: the results must not change.
+
+Both decoders stop early once their message state repeats exactly and report
+the result of iteration max_iters. The plain loops they ran before, kept here
+verbatim as oracles, compute every iteration; each decode must match them bit
+for bit in pixels, marginals, iterations_run, converged and residual.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from codedgi import (
+    BpOptions,
+    ChannelParams,
+    CodeSpec,
+    DegreeDistribution,
+    IlluminationEnsemble,
+    ParityCheckMatrix,
+    SceneImage,
+    SparseRows,
+    build_generator,
+    decode_gf2_bp,
+    decode_sum_bp,
+    patterns_from_generator,
+    random_speckle,
+    sense,
+)
+from codedgi import harness
+from codedgi.decoder import (
+    MSG_FLOOR,
+    DecodeDiagnostics,
+    DecodeResult,
+    _check_plans,
+    _edge_logits,
+    _likelihoods,
+    _sigmoid,
+    _totals,
+)
+from codedgi.forward import receiver_gains
+from codedgi.harness import RunConfig, load_scene, parse_distribution
+
+
+def plain_sum_bp(m, ens, opts):
+    """decode_sum_bp computing every iteration up to max_iters or the stall."""
+    k = ens.k_pixels
+    unpinned = int((np.bincount(ens.patterns.flat, minlength=k) == 0).sum())
+    prior_logit = math.log(opts.prior) - math.log1p(-opts.prior)
+    singles = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] == 1]
+    groups = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
+    fixed = [_edge_logits(*_likelihoods(m, ids, 1)) for ids, _ in singles]
+    prior = _totals(prior_logit, singles, fixed, k)
+    plans = _check_plans([px.shape for _, px in groups])
+    for plan, (ids, _) in zip(plans, groups):
+        plan.set_likelihoods(m, ids)
+    p2m = [np.full(px.shape, opts.prior) for _, px in groups]
+
+    marginals = np.full(k, opts.prior)
+    hard = marginals > 0.5
+    stable = 0
+    iterations = 0
+    converged = False
+
+    for iteration in range(1, opts.max_iters + 1):
+        m2p = [plan(p) for plan, p in zip(plans, p2m)]
+        total = _totals(prior, groups, m2p, k)
+        marginals = _sigmoid(total)
+        new_hard = marginals > 0.5
+        iterations = iteration
+        if np.array_equal(new_hard, hard):
+            stable += 1
+        else:
+            stable = 0
+        hard = new_hard
+        if stable >= opts.stall_window:
+            converged = True
+            break
+        if iteration == opts.max_iters:
+            break
+        for i, (_, px) in enumerate(groups):
+            outgoing = _sigmoid(total[px] - m2p[i])
+            if opts.damping > 0:
+                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * p2m[i]
+            p2m[i] = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
+
+    pixels = hard.astype(np.uint8)
+    predicted = receiver_gains(m) * ens.patterns.sums(pixels)
+    residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
+    diag = DecodeDiagnostics(iterations, converged, residual, unpinned)
+    return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
+
+
+def plain_gf2_bp(llrs, h, max_iters):
+    """decode_gf2_bp computing every iteration up to max_iters or a zero syndrome."""
+    llrs = np.asarray(llrs, dtype=np.float64)
+    groups = h.rows.groups
+    c2v = [np.zeros(vr.shape) for _, vr in groups]
+    total = llrs.copy()
+    hard = total < 0.0
+    iterations = 0
+    converged = False
+    for iteration in range(1, max_iters + 1):
+        for i, (_, vr) in enumerate(groups):
+            t = np.tanh((total[vr] - c2v[i]) / 2.0)
+            prefix = np.ones_like(t)
+            np.cumprod(t[:, :-1], axis=1, out=prefix[:, 1:])
+            suffix = np.ones_like(t)
+            np.cumprod(t[:, :0:-1], axis=1, out=suffix[:, -2::-1])
+            c2v[i] = 2.0 * np.arctanh(np.clip(prefix * suffix, -1 + 1e-15, 1 - 1e-15))
+        total = _totals(llrs, groups, c2v, h.n_total)
+        hard = total < 0.0
+        iterations = iteration
+        if not (h.rows.sums(hard) & 1).any():
+            converged = True
+            break
+    diag = DecodeDiagnostics(iterations, converged, math.nan, 0)
+    return DecodeResult(
+        pixels=hard[: h.k_info].astype(np.uint8), marginals=_sigmoid(-total), diagnostics=diag
+    )
+
+
+def assert_same(fast, slow):
+    assert np.array_equal(fast.pixels, slow.pixels)
+    assert fast.marginals.tobytes() == slow.marginals.tobytes()
+    got, want = fast.diagnostics, slow.diagnostics
+    assert (got.iterations_run, got.converged) == (want.iterations_run, want.converged)
+    assert np.array_equal(got.residual, want.residual, equal_nan=True)
+    assert got.unpinned_pixel_count == want.unpinned_pixel_count
+    assert got.iterations_computed <= got.iterations_run
+    if got.iterations_computed < got.iterations_run:
+        assert got.cycle_period > 0 and not got.converged
+
+
+def compare_sum_bp(m, ens, opts):
+    fast = decode_sum_bp(m, ens, opts)
+    assert_same(fast, plain_sum_bp(m, ens, opts))
+    return fast
+
+
+def compare_gf2_bp(llrs, h, max_iters):
+    fast = decode_gf2_bp(llrs, h, max_iters)
+    assert_same(fast, plain_gf2_bp(llrs, h, max_iters))
+    return fast
+
+
+# the four workload configs of bench/workloads.py, as RunConfig overrides
+_DESK = dict(width=16, height=16, sampling=2, degree=8, csi_known=False)
+WORKLOADS = {
+    "desk-ber": _DESK,
+    "paper-v": dict(
+        width=32, height=32, sampling=2, degree=128, prior=0.16, csi_known=True,
+        snr_db_list=(10.0, 14.0), max_iters=1,
+    ),
+    "compare-32": dict(
+        experiment="compare", width=32, height=32, sampling=2, degree=8, damping=0.3, snr_db=10.0
+    ),
+    "desk-gf2": dict(_DESK, decoder_mode="gf2"),
+}
+
+
+def run_trials(monkeypatch, cfg, trials):
+    """Run the harness's own trials with both decoders checked against the plain loops."""
+    seen = []
+    for name, compare in (("decode_sum_bp", compare_sum_bp), ("decode_gf2_bp", compare_gf2_bp)):
+        monkeypatch.setattr(
+            harness, name, lambda *args, compare=compare: seen.append(compare(*args)) or seen[-1]
+        )
+    scene = load_scene(cfg)
+    for point, (snr_db, n_total) in enumerate(harness._points(cfg)):
+        for trial in range(trials):
+            harness._trial((cfg, scene, point, trial, snr_db, n_total))
+    return [r.diagnostics for r in seen]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_trials_match_plain_loops(monkeypatch, name):
+    cfg = RunConfig(**WORKLOADS[name], seed=91)
+    trials = 1 if name == "paper-v" else 2
+    diags = run_trials(monkeypatch, cfg, trials)
+    assert len(diags) == trials * len(harness._points(cfg))
+    if name in ("desk-ber", "desk-gf2"):  # undamped: some decodes repeat and skip
+        assert any(d.iterations_computed < d.iterations_run for d in diags)
+
+
+def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
+    # counts, not wall time: on the desk config at 8 dB no undamped decode
+    # converges, and most settle into an exact 2-cycle within about 12 iterations
+    cfg = RunConfig(**_DESK, snr_db_list=(8.0,), damping=0.0)
+    seen = []
+    real = harness.decode_sum_bp
+    monkeypatch.setattr(harness, "decode_sum_bp", lambda *a: seen.append(real(*a)) or seen[-1])
+    scene = load_scene(cfg)
+    for trial in range(20):
+        harness._trial((cfg, scene, 0, trial, 8.0, 512))
+    diags = [r.diagnostics for r in seen]
+    assert [d.iterations_run for d in diags] == [50] * 20
+    assert np.mean([d.iterations_computed for d in diags]) <= 25
+
+
+def random_case(seed):
+    """A small sum-constraint decode drawn over the skip's risky settings."""
+    rng = np.random.default_rng(seed)
+    side = int(rng.integers(4, 9))
+    k = side * side
+    n = k * int(rng.integers(1, 4))
+    kind = rng.choice(["regular", "mixture", "speckle"])
+    if kind == "speckle":
+        ens = random_speckle(k, n, float(rng.choice([0.1, 0.3])), seed)
+    else:
+        # undamped BP repeats exactly most often at degree 8, never seen at 4
+        dist = parse_distribution("1:0.2,3:0.3,8:0.5") if kind == "mixture" else None
+        dist = dist or DegreeDistribution.regular(int(rng.choice([3, 6, 8, 8])))
+        ens = patterns_from_generator(build_generator(CodeSpec(k, k + n, dist, seed)))
+    scene = SceneImage(side, side, (rng.random(k) < rng.choice([0.2, 0.5])).astype(float))
+    n0 = 0.0 if rng.random() < 0.2 else float(rng.choice([0.05, 0.3, 1.0]))
+    fading = rng.choice(["rayleigh", "none"])
+    ch = ChannelParams(es=1.0, n0=n0, fading=fading, csi_known=bool(rng.integers(2)))
+    m = sense(ens, scene, ch, seed + 1)
+    opts = BpOptions(
+        max_iters=int(rng.integers(1, 4) if rng.random() < 0.25 else rng.integers(7, 101)),
+        stall_window=int(rng.choice([1, 3, 5])),
+        prior=float(rng.choice([0.5, 0.2])),
+        damping=float(rng.choice([0.0, 0.1, 0.3])),
+    )
+    return m, ens, opts
+
+
+def test_random_decodes_match_plain_loops():
+    diags = [compare_sum_bp(*random_case(seed)).diagnostics for seed in range(120)]
+    skipped = [d for d in diags if d.iterations_computed < d.iterations_run]
+    # the grid must reach the skip, else matching the plain loop shows nothing
+    assert len(skipped) >= 10
+    # a fixed point found before the stall rule fired: it must still converge
+    assert any(d.cycle_period == 1 and d.converged for d in diags)
+
+
+def ring_code(length, frustrated, a=3.0):
+    """A ring whose GF(2) decode settles into an exact cycle of a known period.
+
+    Ring variables 0..L-1 (LLR 0) and pendant variables L..2L-1 (LLR +-40)
+    meet in checks (v_j, v_{j+1}, w_j); variable 2L sits alone in a check it
+    always fails, so no decode converges. With LLRs a at v_0 and -a at
+    v_{L/2}, the messages running round the ring repeat with period L. With
+    one pendant at -40 instead (a frustrated ring) and a at v_0 only, each
+    round flips their sign: period 2L for L >= 2.
+    """
+    rows = [np.array(sorted({j, (j + 1) % length}) + [length + j]) for j in range(length)]
+    h = ParityCheckMatrix(0, 2 * length + 1, SparseRows.of([*rows, np.array([2 * length])]))
+    llrs = np.zeros(2 * length + 1)
+    llrs[length:] = 40.0
+    llrs[2 * length] = -40.0
+    llrs[0] = a
+    if frustrated:
+        llrs[length] = -40.0
+    else:
+        llrs[length // 2] -= a
+    return llrs, h
+
+
+@pytest.mark.parametrize("period", range(1, 31))
+def test_gf2_cycles_of_each_period_match_plain_loop(period):
+    cases = [ring_code(period, frustrated=False)]
+    if period % 2 == 0 and period > 2:
+        cases.append(ring_code(period // 2, frustrated=True))
+    for llrs, h in cases:
+        # the first, second and last phase of the cycle after detection
+        for max_iters in sorted({4 * period + 30 + r for r in (0, 1, period - 1)}):
+            res = compare_gf2_bp(llrs, h, max_iters)
+            assert res.diagnostics.cycle_period == period
+            assert res.diagnostics.iterations_computed < max_iters
+            assert not res.diagnostics.converged
+
+
+def test_gf2_random_decodes_match_plain_loop():
+    rng = np.random.default_rng(5)
+    skipped = 0
+    for _ in range(200):
+        n = int(rng.integers(6, 40))
+        d = int(rng.integers(2, 7))
+        rows = [np.sort(rng.choice(n, d, replace=False)) for _ in range(int(rng.integers(2, n)))]
+        h = ParityCheckMatrix(0, n, SparseRows.of(rows))
+        llrs = rng.normal(0.0, float(rng.choice([0.5, 2.0, 8.0])), n)
+        res = compare_gf2_bp(llrs, h, int(rng.integers(1, 120)))
+        skipped += res.diagnostics.iterations_computed < res.diagnostics.iterations_run
+    assert skipped >= 20
+
+
+def test_diagnostics_default_to_every_iteration_computed():
+    diag = DecodeDiagnostics(iterations_run=7, converged=False, residual=0.0, unpinned_pixel_count=0)
+    assert (diag.iterations_computed, diag.cycle_period) == (7, 0)
+
+
+def test_state_of_no_messages_is_a_fixed_point():
+    # every check of degree 1: no message ever changes, and the decode
+    # still converges through the stall rule, at the plain loop's iteration
+    k = 9
+    ens = IlluminationEnsemble(k, SparseRows.of([np.array([i]) for i in range(k)]))
+    scene = SceneImage(3, 3, np.array([1.0, 0, 1, 0, 1, 0, 1, 1, 0]))
+    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.0, fading="none"), seed=0)
+    for window in (1, 3, 5):
+        res = compare_sum_bp(m, ens, BpOptions(stall_window=window))
+        assert res.diagnostics.converged
+        assert res.diagnostics.iterations_run == window + 1
