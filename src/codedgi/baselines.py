@@ -9,6 +9,14 @@ condition number at or below GRAM_RCOND_MIN goes through a column-pivoted QR
 (complete orthogonal factorization), which cuts the rank where the estimated
 condition number would pass 1e10. Either path returns the minimum-norm
 least-squares solution. All three return unnormalized real-valued images.
+
+The pseudo-inverse's dense solve runs on scipy's BLAS/LAPACK alone: `dsyrk`
+forms the Gram's upper triangle, `dpotrf`, `dpocon` and `dpotrs` factor and
+solve, and `dgemv` forms the right-hand side. numpy and scipy each bundle
+their own OpenBLAS, each with its own thread pool whose idle workers spin, so
+a solve that used both would leave more busy threads than cores for the rest
+of the run. The Gram's 1-norm, which only feeds `dpocon`, comes from the
+sparse entries as S^T (S 1).
 """
 
 from __future__ import annotations
@@ -73,6 +81,18 @@ def dgi_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction
     return Reconstruction(image=_centred_correlation(ens, diff))
 
 
+def _gram_norm1(ens: IlluminationEnsemble, gains: np.ndarray) -> float:
+    """1-norm of the Gram S^T S, S the (N, K) system with S[n, i] = g_n on pattern n's pixels.
+
+    Every entry of S is a gain g_n >= 0, so the Gram's entries are too and its
+    1-norm is its largest column sum, S^T (S 1): pixel i sums g_n^2 size_n
+    over the patterns that light it.
+    """
+    sizes = ens.patterns.sizes
+    weights = np.repeat(gains * gains * sizes, sizes)
+    return float(np.bincount(ens.patterns.flat, weights=weights, minlength=ens.k_pixels).max())
+
+
 def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
     """Minimum-norm least squares of (diag(|h| sqrt(Es)) A) x = R.
 
@@ -88,21 +108,28 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     leading triangle of R whose estimated condition number stays below 1e10,
     and the rest is cut, so a rank-deficient system returns the minimum-norm
     solution.
+
+    The fast path calls scipy's BLAS and LAPACK only (dsyrk for the Gram's
+    upper triangle, which potrf reads in place, and dgemv for A^T R), never
+    numpy's: the two libraries keep separate thread pools whose idle workers
+    spin. pocon's 1-norm is S^T (S 1), from the sparse entries.
     """
     # imported here: scipy.linalg costs about 0.25 s to import cold, and only pinv uses it
     import scipy.linalg
-    from scipy.linalg import lapack
+    from scipy.linalg import blas, lapack
 
     _check_lengths(ens, m)
     rows, pixels = ens.patterns.entries()
+    gains = receiver_gains(m)
     system = np.zeros((len(ens.patterns), ens.k_pixels))
-    system[rows, pixels] = receiver_gains(m)[rows]
-    gram = system.T @ system
-    chol, info = lapack.dpotrf(gram)
+    system[rows, pixels] = gains[rows]
+    # system.T is an F-contiguous view, so scipy's BLAS reads it without a copy
+    gram_upper = blas.dsyrk(1.0, system.T, trans=0, lower=0)
+    chol, info = lapack.dpotrf(gram_upper, overwrite_a=1)
     if info == 0:
-        rcond, _ = lapack.dpocon(chol, np.linalg.norm(gram, 1))
+        rcond, _ = lapack.dpocon(chol, _gram_norm1(ens, gains))
         if rcond > GRAM_RCOND_MIN:
-            x, _ = lapack.dpotrs(chol, system.T @ m.bucket)
+            x, _ = lapack.dpotrs(chol, blas.dgemv(1.0, system.T, m.bucket))
             return Reconstruction(image=x)
     x, *_ = scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")
     return Reconstruction(image=x)

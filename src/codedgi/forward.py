@@ -123,6 +123,10 @@ class Measurement:
         self.fading_mag = np.asarray(self.fading_mag, dtype=np.float64)
         if self.bucket.shape != self.fading_mag.shape:
             raise ValueError("bucket and fading_mag lengths differ")
+        if not np.isfinite(self.bucket).all():
+            raise ValueError("bucket values must be finite")
+        if not np.isfinite(self.fading_mag).all():
+            raise ValueError("fading magnitudes must be finite")
         if (self.fading_mag < 0).any():
             raise ValueError("fading magnitudes must be non-negative")
 

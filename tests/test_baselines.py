@@ -21,7 +21,8 @@ from codedgi import (
     receiver_gains,
     sense,
 )
-from codedgi.baselines import Reconstruction, _centred_correlation
+from codedgi import baselines
+from codedgi.baselines import GRAM_RCOND_MIN, Reconstruction, _centred_correlation, _gram_norm1
 
 
 def identity_ensemble(k):
@@ -140,7 +141,45 @@ def underdetermined_acquisition():
     return ens, sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=43)
 
 
+def well_conditioned_acquisition():
+    """Twice as many speckle patterns (32) as pixels (16), Rayleigh with CSI."""
+    ens = random_speckle(16, 32, 0.4, seed=44)
+    scene = SceneImage(4, 4, np.random.default_rng(45).integers(0, 2, 16).astype(float))
+    return ens, sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=46)
+
+
+def reference_pinv(ens, m):
+    """pinv_reconstruct as numpy forms the Gram: `system.T @ system`, its
+    `np.linalg.norm(gram, 1)` and `system.T @ bucket`, with scipy's LAPACK
+    factoring and solving and the same gelsy fallback."""
+    import scipy.linalg
+    from scipy.linalg import lapack
+
+    system = receiver_gains(m)[:, None] * ens.dense()
+    gram = system.T @ system
+    chol, info = lapack.dpotrf(gram)
+    if info == 0:
+        rcond, _ = lapack.dpocon(chol, np.linalg.norm(gram, 1))
+        if rcond > GRAM_RCOND_MIN:
+            return lapack.dpotrs(chol, system.T @ m.bucket)[0]
+    return scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")[0]
+
+
 class TestPinv:
+    @pytest.fixture(autouse=True)
+    def matches_reference_bits(self, monkeypatch):
+        """Every pinv_reconstruct call in this class must equal reference_pinv
+        bit for bit, which also pins the branch each acquisition takes."""
+
+        real = pinv_reconstruct
+
+        def checked(ens, m):
+            recon = real(ens, m)
+            assert np.array_equal(recon.image, reference_pinv(ens, m))
+            return recon
+
+        monkeypatch.setitem(globals(), "pinv_reconstruct", checked)
+
     def test_square_invertible_noiseless(self):
         ens = identity_ensemble(5)
         delta = np.array([0.2, 0.9, 0.0, 0.5, 1.0])
@@ -203,6 +242,29 @@ class TestPinv:
         want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
         np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=atol)
 
+    @pytest.mark.parametrize(
+        "acquire, calls",
+        [
+            (near_singular_acquisition, ["gelsy"]),
+            (underdetermined_acquisition, ["gelsy"]),
+            (well_conditioned_acquisition, []),
+        ],
+        ids=["near_singular", "underdetermined", "well_conditioned"],
+    )
+    def test_gelsy_fallback_calls(self, acquire, calls, monkeypatch):
+        import scipy.linalg
+
+        real, seen = scipy.linalg.lstsq, []
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs["lapack_driver"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lstsq", counting)
+        # the module's own function: this class's wrapper would add reference_pinv's calls
+        baselines.pinv_reconstruct(*acquire())
+        assert seen == calls
+
     def test_uses_mean_amplitude_without_csi(self):
         rng = np.random.default_rng(12)
         ens = random_speckle(6, 18, 0.5, seed=13)
@@ -252,6 +314,33 @@ class TestBenchmarkScale:
         system = receiver_gains(m)[:, None] * ens.dense()
         want = np.linalg.lstsq(system, m.bucket, rcond=1e-10)[0]
         np.testing.assert_allclose(pinv_reconstruct(ens, m).image, want, rtol=0, atol=1e-9)
+
+    def test_pinv_bits_match_numpy_gram_reference(self, acquisition):
+        ens, m = acquisition
+        assert np.array_equal(pinv_reconstruct(ens, m).image, reference_pinv(ens, m))
+
+
+class TestGramNorm:
+    @pytest.mark.parametrize(
+        "fading, csi",
+        [("rayleigh", True), ("rayleigh", False), ("none", True)],
+        ids=["rayleigh_csi", "rayleigh_no_csi", "no_fading"],
+    )
+    def test_matches_dense_gram_norm(self, fading, csi):
+        rng = np.random.default_rng(50)
+        for trial in range(8):
+            k, n = int(rng.integers(3, 20)), int(rng.integers(4, 40))
+            lit = random_speckle(k, n, rng.uniform(0.1, 0.9), seed=trial).patterns
+            # pixel 0 is unlit and pattern 0 empty
+            rows = [p[p != 0] for p in lit]
+            rows[0] = np.array([], dtype=np.int64)
+            ens = IlluminationEnsemble(k, SparseRows.of(rows))
+            ch = ChannelParams(es=rng.uniform(0.5, 3.0), n0=0.5, fading=fading, csi_known=csi)
+            m = sense(ens, SceneImage(k, 1, rng.random(k)), ch, seed=trial)
+            system = receiver_gains(m)[:, None] * ens.dense()
+            want = np.linalg.norm(system.T @ system, 1)
+            assert want > 0
+            assert _gram_norm1(ens, receiver_gains(m)) == pytest.approx(want, rel=1e-13)
 
 
 class TestSharedProperties:

@@ -292,6 +292,27 @@ def test_decode_checks_shape_before_decoding(tmp_path, glyph_pgm, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("column", [1, 2], ids=["bucket", "fading_mag"])
+def test_decode_rejects_nan_in_measurement(tmp_path, glyph_pgm, capsys, monkeypatch, column):
+    args = _decode_args(tmp_path, glyph_pgm)
+    meas = Path(args[args.index("--meas") + 1])
+    lines = meas.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    fields = lines[row].split(",")
+    fields[column] = "nan"
+    lines[row] = ",".join(fields)
+    meas.write_text("\n".join(lines) + "\n")
+
+    def no_decode(*_):
+        raise AssertionError("a NaN measurement reached the decoder")
+
+    monkeypatch.setattr(codedgi.cli, "decode_sum_bp", no_decode)
+    out = tmp_path / "d.pgm"
+    assert main([*args, "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(codedgi.__file__).resolve().parents[1])
     proc = subprocess.run(

@@ -189,6 +189,23 @@ class TestSense:
         assert pattern_sums(ens, flat_scene([0.25, 1.0, 0.5]))[0] == 0.75
 
 
+class TestMeasurement:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_bucket(self, bad):
+        with pytest.raises(ValueError, match="bucket values must be finite"):
+            Measurement(bucket=[1.0, bad], fading_mag=np.ones(2), channel=ChannelParams(), seed=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_fading(self, bad):
+        # NaN passes a `< 0` check, so it needs its own
+        with pytest.raises(ValueError, match="fading magnitudes must be finite"):
+            Measurement(bucket=np.ones(2), fading_mag=[0.5, bad], channel=ChannelParams(), seed=0)
+
+    def test_rejects_negative_fading(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Measurement(bucket=np.ones(2), fading_mag=[0.5, -0.1], channel=ChannelParams(), seed=0)
+
+
 class TestChannelParams:
     def test_validation(self):
         with pytest.raises(ValueError):
