@@ -33,10 +33,8 @@ from .decoder import (
     BpOptions,
     DecodeDiagnostics,
     DecodeResult,
-    count_pmf,
     decode_gf2_bp,
     decode_sum_bp,
-    measurement_likelihood,
 )
 from .baselines import (
     Reconstruction,

@@ -39,6 +39,10 @@ decode_gf2_bp) are `SparseRows.sums`.
   LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
   `forward.count_loglik`.
 
+Each decoder is one row of `harness._DECODERS`, which acquires the scene
+and calls it; the tests' exhaustive oracles score scenes with the same
+`count_loglik`, so no second copy of the receiver model lives here.
+
 Undamped loopy BP often settles into an exact cycle of message states. Both
 decoders hand their full message state to one `_CycleWatch` each iteration;
 once it has found a repeat of period p and proved that the stop rule can no
@@ -58,7 +62,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codes import ParityCheckMatrix
-from .forward import ChannelParams, IlluminationEnsemble, Measurement, count_loglik, receiver_gains
+from .forward import IlluminationEnsemble, Measurement, count_loglik, receiver_gains
 
 MSG_FLOOR = 1e-12
 
@@ -119,40 +123,6 @@ class DecodeResult:
     pixels: np.ndarray
     marginals: np.ndarray
     diagnostics: DecodeDiagnostics
-
-
-def measurement_likelihood(
-    r: float, count: int, h_mag: float, ch: ChannelParams
-) -> float:
-    """Density of bucket value r given `count` lit pixels.
-
-    Gaussian with mean h_mag*sqrt(Es)*count and variance N0/2. With N0 = 0
-    the density degenerates to an exact-match indicator.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    mean = h_mag * math.sqrt(ch.es) * count
-    if ch.n0 == 0:
-        return 1.0 if abs(r - mean) <= 1e-9 * max(1.0, abs(r)) else 0.0
-    var = ch.n0 / 2.0
-    return math.exp(-((r - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
-
-
-def count_pmf(messages) -> np.ndarray:
-    """Exact pmf of a sum of independent Bernoulli variables.
-
-    Sequential convolution; O(d^2). Output has length d+1 and sums to 1.
-    """
-    p = np.asarray(messages, dtype=np.float64)
-    if p.size and (p.min() < 0 or p.max() > 1):
-        raise ValueError("messages must lie in [0, 1]")
-    pmf = np.array([1.0])
-    for pi in p:
-        nxt = np.zeros(len(pmf) + 1)
-        nxt[:-1] += pmf * (1.0 - pi)
-        nxt[1:] += pmf * pi
-        pmf = nxt
-    return pmf
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Experiment orchestration: configs, seed derivation, one pipeline, manifests.
 
 All four experiments run through `run_experiment`: the experiment's points,
-each an (snr_db, n_total) pair, times its trials give the jobs, in
-point-major order. `_map_jobs` hands every job to the one trial worker,
-`_trial`, which builds a fresh code, sends it through the channel and
-decodes it (for compare it also runs the baselines on their own
-acquisition). A per-experiment writer then formats the per-trial results as
-CSVs and PGMs.
+each the `RunConfig` with its swept `snr_db` or `sampling` set, times its
+trials give the jobs, in point-major order. `_map_jobs` hands every job to
+the one trial worker, `_trial`, which builds a fresh code and hands it to
+the configured row of `_DECODERS`, the decoder table: each row acquires the
+scene through the channel and decodes it (for compare, `_trial` also runs
+the baselines on their own acquisition). A per-experiment writer then
+formats the per-trial results as CSVs and PGMs.
 
 Every run directory receives a manifest whose [config] section replays the
 run bit-identically (CSV and PGM bytes) via `replay`. Randomness flows only
@@ -34,7 +35,7 @@ from .codes import (
     derive_parity_check,
     encode,
 )
-from .decoder import BpOptions, decode_gf2_bp, decode_sum_bp
+from .decoder import BpOptions, DecodeResult, decode_gf2_bp, decode_sum_bp
 from .forward import (
     ChannelParams,
     SceneImage,
@@ -49,8 +50,6 @@ from .pgmio import read_pgm, write_pgm
 from .scenes import SCENE_NAMES, builtin_scene
 
 RNG_ID = "numpy-PCG64; trial seeds via splitmix64(master, point, trial)"
-
-DECODER_MODES = ("sum-constraint", "gf2")
 
 
 class ConfigError(Exception):
@@ -141,6 +140,9 @@ class RunConfig:
                 raise ValueError(f"unknown experiment {self.experiment!r}")
             if self.decoder_mode not in DECODER_MODES:
                 raise ValueError(f"decoder_mode must be one of {DECODER_MODES}")
+            if self.decoder_mode == "gf2" and self.experiment == "grayscale":
+                # gf2 encodes the rounded scene, so its frames average to that, not to the gray one
+                raise ValueError("grayscale needs decoder_mode = sum-constraint, not gf2")
             if self.width < 1 or self.height < 1:
                 raise ValueError("plane dimensions must be positive")
             if self.sampling < 1:
@@ -323,14 +325,34 @@ def replay(manifest_path, out_dir: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _points(cfg: RunConfig) -> list[tuple[float, int]]:
-    """The experiment's sweep points, each an (snr_db, n_total) pair."""
-    k = cfg.k_pixels
+def _points(cfg: RunConfig) -> list[RunConfig]:
+    """The experiment's sweep points, each the config with its swept value set."""
     if cfg.experiment == "sweep-ber":
-        return [(snr_db, cfg.sampling * k) for snr_db in cfg.snr_db_list]
+        return [replace(cfg, snr_db=snr_db) for snr_db in cfg.snr_db_list]
     if cfg.experiment == "sweep-sampling":
-        return [(cfg.snr_db, m * k) for m in cfg.multipliers]
-    return [(cfg.snr_db, cfg.sampling * k)]
+        return [replace(cfg, sampling=m) for m in cfg.multipliers]
+    return [cfg]
+
+
+def _decode_sum_constraint(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) -> DecodeResult:
+    ens = patterns_from_generator(g)
+    meas = sense(ens, scene, ch, _substream(seed, _SUB_SENSE))
+    return decode_sum_bp(meas, ens, cfg.bp_options())
+
+
+def _decode_gf2(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) -> DecodeResult:
+    truth = np.rint(scene.reflectance).astype(np.uint8)
+    meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
+    # on-off symbols are counts 0 and 1: the LLR log p0/p1 is their difference
+    loglik = count_loglik(meas, (0, 1))
+    return decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.max_iters)
+
+
+# decoder_mode -> row: acquire one scene with code g over channel ch, decode it.
+# Rows call the layers through this module's globals, which the benchmark's
+# tracer and the tests patch: a stored reference would escape them.
+_DECODERS = {"sum-constraint": _decode_sum_constraint, "gf2": _decode_gf2}
+DECODER_MODES = tuple(_DECODERS)
 
 
 def _trial(args):
@@ -340,10 +362,11 @@ def _trial(args):
     is the decoded bits for "ldpc" and the analog reconstruction for a
     baseline.
     """
-    cfg, scene, point, trial, snr_db, n_total = args
+    cfg, scene, point, trial = args
     seed = derive_trial_seed(cfg.seed, trial, point)
-    ch = ChannelParams.at_snr_db(snr_db, cfg.es, cfg.fading, cfg.csi_known)
+    ch = ChannelParams.at_snr_db(cfg.snr_db, cfg.es, cfg.fading, cfg.csi_known)
     truth = np.rint(scene.reflectance).astype(np.uint8)
+    n_total = cfg.sampling * cfg.k_pixels
     spec = CodeSpec(
         k_info=cfg.k_pixels,
         n_total=n_total,
@@ -351,20 +374,11 @@ def _trial(args):
         seed=_substream(seed, _SUB_CODE),
     )
     g = build_generator(spec)
-    ens = None
-    if cfg.decoder_mode == "gf2":
-        meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
-        # on-off symbols are counts 0 and 1: the LLR log p0/p1 is their difference
-        loglik = count_loglik(meas, (0, 1))
-        result = decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.max_iters)
-    else:
-        ens = patterns_from_generator(g)
-        meas = sense(ens, scene, ch, _substream(seed, _SUB_SENSE))
-        result = decode_sum_bp(meas, ens, cfg.bp_options())
+    result = _DECODERS[cfg.decoder_mode](cfg, g, scene, ch, seed)
     methods = {"ldpc": (ber(truth, result.pixels), result.pixels)}
     if cfg.experiment == "compare":
         if cfg.baseline_on_coded:
-            base_ens = ens if ens is not None else patterns_from_generator(g)
+            base_ens = patterns_from_generator(g)
         else:
             base_ens = random_speckle(
                 cfg.k_pixels, n_total, cfg.speckle_duty, _substream(seed, _SUB_SPECKLE)
@@ -399,11 +413,7 @@ def run_experiment(cfg: RunConfig) -> str:
 
     points = _points(cfg)
     trials = 2**cfg.gray_bits if cfg.experiment == "grayscale" else cfg.trials
-    jobs = [
-        (cfg, scene, p, t, snr_db, n_total)
-        for p, (snr_db, n_total) in enumerate(points)
-        for t in range(trials)
-    ]
+    jobs = [(point_cfg, scene, p, t) for p, point_cfg in enumerate(points) for t in range(trials)]
     results = _map_jobs(jobs, _trial, cfg.threads)
     by_point = [results[p * trials : (p + 1) * trials] for p in range(len(points))]
 

@@ -7,7 +7,6 @@ term is ~1/(4 gamma) = 2.5e-5 at 40 dB and cannot drop below 1e-6 before
 requirement verbatim and is expected to fail.
 """
 
-import itertools
 import math
 import os
 import time
@@ -35,7 +34,6 @@ from codedgi import (
     decode_sum_bp,
     grayscale_stack,
     mean_abs_error,
-    measurement_likelihood,
     patterns_from_generator,
     pinv_reconstruct,
     rayleigh_ber,
@@ -51,6 +49,7 @@ from codedgi.harness import (
     _SUB_CODE,
     _SUB_SENSE,
 )
+from oracles import exhaustive_marginals
 
 
 def report(cid: str, name: str, ok: bool) -> bool:
@@ -253,22 +252,6 @@ def test_criterion_4_exact_recovery():
 # ---------------------------------------------------------------------------
 # 5. BP tree exactness
 # ---------------------------------------------------------------------------
-
-
-def exhaustive_marginals(m, ens, prior=0.5):
-    k = ens.k_pixels
-    post = np.zeros(k)
-    z = 0.0
-    for bits in itertools.product([0, 1], repeat=k):
-        b = np.array(bits)
-        w = prior ** b.sum() * (1 - prior) ** (k - b.sum())
-        for j, pat in enumerate(ens.patterns):
-            w *= measurement_likelihood(
-                m.bucket[j], int(b[pat].sum()), m.fading_mag[j], m.channel
-            )
-        post += w * b
-        z += w
-    return post / z
 
 
 def random_tree_ensemble(k, rng):

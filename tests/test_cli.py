@@ -153,6 +153,16 @@ def test_sweep_ber_at_unit_sampling_exits_before_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gf2_grayscale_exits_before_run_dir(tmp_path, capsys):
+    # gf2 decodes the rounded scene: its frames could never stack to the gray one
+    cfg = tmp_path / "gray.cfg"
+    cfg.write_text("scene = radial\nwidth = 8\nheight = 8\ndegree = 4\ngray_bits = 2\ndecoder_mode = gf2\n")
+    out = tmp_path / "out"
+    assert main(["grayscale", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "grayscale needs decoder_mode = sum-constraint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_integer_list_exit_code(tmp_path, capsys):
     cfg = tmp_path / "frac.cfg"
     cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\nmultipliers = 1.5,2.7\n")

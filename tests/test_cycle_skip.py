@@ -167,9 +167,9 @@ def run_trials(monkeypatch, cfg, trials):
             harness, name, lambda *args, compare=compare: seen.append(compare(*args)) or seen[-1]
         )
     scene = load_scene(cfg)
-    for point, (snr_db, n_total) in enumerate(harness._points(cfg)):
+    for point, point_cfg in enumerate(harness._points(cfg)):
         for trial in range(trials):
-            harness._trial((cfg, scene, point, trial, snr_db, n_total))
+            harness._trial((point_cfg, scene, point, trial))
     return [r.diagnostics for r in seen]
 
 
@@ -191,8 +191,9 @@ def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
     real = harness.decode_sum_bp
     monkeypatch.setattr(harness, "decode_sum_bp", lambda *a: seen.append(real(*a)) or seen[-1])
     scene = load_scene(cfg)
+    (point_cfg,) = harness._points(cfg)
     for trial in range(20):
-        harness._trial((cfg, scene, 0, trial, 8.0, 512))
+        harness._trial((point_cfg, scene, 0, trial))
     diags = [r.diagnostics for r in seen]
     assert [d.iterations_run for d in diags] == [50] * 20
     assert np.mean([d.iterations_computed for d in diags]) <= 25

@@ -27,12 +27,10 @@ from codedgi import (
     SparseRows,
     build_generator,
     count_loglik,
-    count_pmf,
     decode_gf2_bp,
     decode_sum_bp,
     derive_parity_check,
     encode,
-    measurement_likelihood,
     patterns_from_generator,
     sense,
     syndrome,
@@ -40,23 +38,7 @@ from codedgi import (
 from codedgi.decoder import MSG_FLOOR, _CheckPlan, _sigmoid
 from codedgi.forward import RAYLEIGH_MEAN_MAG
 from codedgi.harness import parse_distribution
-
-
-def exhaustive_marginals(m, ens, prior=0.5):
-    """Brute-force posterior over all 2^K scenes."""
-    k = ens.k_pixels
-    post = np.zeros(k)
-    z = 0.0
-    for bits in itertools.product([0, 1], repeat=k):
-        b = np.array(bits)
-        w = prior ** b.sum() * (1 - prior) ** (k - b.sum())
-        for j, pat in enumerate(ens.patterns):
-            w *= measurement_likelihood(
-                m.bucket[j], int(b[pat].sum()), m.fading_mag[j], m.channel
-            )
-        post += w * b
-        z += w
-    return post / z
+from oracles import count_pmf, exhaustive_marginals, measurement_likelihood
 
 
 def receiver_magnitudes(m):

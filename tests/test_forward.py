@@ -16,7 +16,6 @@ from codedgi import (
     Measurement,
     build_generator,
     count_loglik,
-    measurement_likelihood,
     patterns_from_generator,
     random_speckle,
     receiver_gains,
@@ -31,6 +30,7 @@ from codedgi.forward import (
     save_measurement_csv,
     transmit,
 )
+from oracles import measurement_likelihood
 
 
 def flat_scene(values):

@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import codedgi
+from codedgi import harness
 from codedgi.decoder import BpOptions
 from codedgi.harness import (
+    DECODER_MODES,
+    EXPERIMENTS,
     PRESETS,
     ConfigError,
     RunConfig,
@@ -199,10 +202,16 @@ class TestBerSweep:
         assert len(diag) == 2 + 4
         assert os.path.exists(os.path.join(run_dir, "manifest.txt"))
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        for experiment in ("sweep-ber", "sweep-sampling", "compare", "grayscale"):
+    @pytest.mark.parametrize("mode", DECODER_MODES)
+    def test_threads_do_not_change_bytes(self, tmp_path, mode):
+        for experiment in EXPERIMENTS:
+            if (mode, experiment) == ("gf2", "grayscale"):
+                continue  # a config error: see test_cli's gf2 grayscale test
             scene = "radial" if experiment == "grayscale" else "glyphs"
-            cfg1 = tiny_cfg(experiment=experiment, scene=scene, out=str(tmp_path / "a"), threads=1)
+            cfg1 = tiny_cfg(
+                experiment=experiment, scene=scene, decoder_mode=mode,
+                out=str(tmp_path / "a"), threads=1,
+            )
             cfg2 = replace(cfg1, out=str(tmp_path / "b"), threads=2)
             d1, d2 = run_experiment(cfg1), run_experiment(cfg2)
             assert _tree_bytes(d1) == _tree_bytes(d2), experiment
@@ -273,6 +282,28 @@ class TestOtherExperiments:
         assert len(lines) == 2 + 4 * cfg.trials  # one row per (method, trial)
         for method in ("ldpc", "cgi", "dgi", "pinv"):
             assert os.path.exists(os.path.join(run_dir, f"{method}_snr10_s2_t0.pgm"))
+
+    @pytest.mark.parametrize("mode", DECODER_MODES)
+    def test_compare_baselines_on_the_coded_patterns(self, tmp_path, monkeypatch, mode):
+        # with baseline_on_coded = 1 the baselines see the K singleton rows,
+        # then the parity columns of the trial's own generator, in every mode
+        codes, seen = [], []
+        build = harness.build_generator
+        monkeypatch.setattr(harness, "build_generator", lambda spec: codes.append(build(spec)) or codes[-1])
+        cgi = harness.cgi_reconstruct
+        monkeypatch.setattr(harness, "cgi_reconstruct", lambda ens, m: seen.append(ens) or cgi(ens, m))
+        cfg = tiny_cfg(
+            experiment="compare", decoder_mode=mode, baseline_on_coded=True, out=str(tmp_path / "a")
+        )
+        d1 = run_experiment(cfg)
+        assert len(seen) == len(codes) == cfg.trials
+        for g, ens in zip(codes, seen):
+            cols = g.parity_columns
+            assert ens.k_pixels == g.k_info
+            assert np.array_equal(ens.patterns.flat, np.concatenate([np.arange(g.k_info), cols.flat]))
+            assert np.array_equal(ens.patterns.sizes, np.concatenate([np.ones(g.k_info), cols.sizes]))
+        d2 = run_experiment(replace(cfg, out=str(tmp_path / "b"), threads=2))
+        assert _tree_bytes(d1) == _tree_bytes(d2)
 
     def test_grayscale_artifacts(self, tmp_path):
         cfg = tiny_cfg(
@@ -422,7 +453,8 @@ with tempfile.TemporaryDirectory() as tmp:
                      multipliers=(2,), gray_bits=1, seed=3, out=tmp)
     for experiment in ("sweep-ber", "sweep-sampling", "grayscale"):
         for mode in ("sum-constraint", "gf2"):
-            run_experiment(replace(base, experiment=experiment, decoder_mode=mode))
+            if (experiment, mode) != ("grayscale", "gf2"):  # that pair is a config error
+                run_experiment(replace(base, experiment=experiment, decoder_mode=mode))
     codedgi.cli.main(["bound", "--k", "64", "--n", "128", "--snr-db", "0", "10",
                       "--out", tmp + "/bound.csv"])
     report["after_runs"] = scipy_modules()
