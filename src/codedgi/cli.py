@@ -87,8 +87,8 @@ def _cmd_decode(args) -> int:
     write_pgm(args.out, args.width, args.height, result.pixels.astype(np.float64))
     d = result.diagnostics
     print(
-        f"wrote {args.out} (iterations={d.iterations_run} computed={d.iterations_computed} "
-        f"cycle_period={d.cycle_period} converged={d.converged} residual={d.residual:.4g})"
+        f"wrote {args.out} (iterations={d.iterations_run} cycle_period={d.cycle_period} "
+        f"converged={d.converged} residual={d.residual:.4g})"
     )
     return 0
 

@@ -46,10 +46,10 @@ and calls it; the tests' exhaustive oracles score scenes with the same
 Undamped loopy BP often settles into an exact cycle of message states. Both
 decoders hand their full message state to one `_CycleWatch` each iteration;
 once it has found a repeat of period p and proved that the stop rule can no
-longer fire, the decoder stops at the first iteration congruent to
-max_iters mod p, whose result is max_iters' bit for bit, and reports it as
-max_iters. `DecodeDiagnostics.iterations_computed` counts the iterations
-actually run.
+longer fire, the decoder stops there, not converged, and returns the
+iterate it computed last. Its result therefore never depends on max_iters
+beyond that point, and `DecodeDiagnostics.iterations_run` is always the
+number of iterations computed.
 """
 
 from __future__ import annotations
@@ -94,22 +94,17 @@ class BpOptions:
 class DecodeDiagnostics:
     """How a decode ended.
 
-    `iterations_run` is the iteration the decode's result belongs to, as if
-    every iteration had been computed. `iterations_computed` is how many were
-    (fewer once a repeated message state is skipped; by default all), and
-    `cycle_period` is the period of that repeat, 0 when none was found.
+    `iterations_run` is the number of iterations computed; the result is the
+    last one's. `cycle_period` is the period of an exact repeat of the
+    message state, 0 when none was found. A decode that is not converged and
+    stopped before max_iters ended on a certified limit cycle.
     """
 
     iterations_run: int
     converged: bool
     residual: float
     unpinned_pixel_count: int
-    iterations_computed: int | None = None
     cycle_period: int = 0
-
-    def __post_init__(self):
-        if self.iterations_computed is None:
-            self.iterations_computed = self.iterations_run
 
 
 @dataclass
@@ -157,7 +152,7 @@ def _edge_logits(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 
 class _CheckPlan:
-    """Measurement->pixel logits for B checks of degree d, buffers built once.
+    """Measurement->pixel logits for B checks of degree d >= 2, buffers built once.
 
     Edge t needs m_c = sum_v pmf_{-t}(v) lik(v + c) for c in {0, 1}, where
     pmf_{-t} is the count pmf of the other neighbors. A segment tree over
@@ -193,7 +188,7 @@ class _CheckPlan:
         self.lik = np.zeros(((1 << levels) + 1, b))
         nodes = []  # level l: (d' / 2**l, 2**l + 1, B) views of padded buffers
         bufs = []
-        for level in range(max(levels, 1)):  # d = 1 still has its leaf
+        for level in range(levels):
             n, s = 1 << (levels - level), 1 << level
             gap = s if level < levels - 1 else 0  # the top level is never padded
             bufs.append(np.zeros((n * (s + 1 + gap) + gap, b)))
@@ -209,7 +204,6 @@ class _CheckPlan:
         gammas = [np.empty(max(sizes[parity::2], default=0)) for parity in range(2)]
         gamma = self.lik[None]
         self._down = []
-        # at d = 1 the root is the only leaf: no level to descend, gamma = lik
         for level in reversed(range(levels)):
             pmf = nodes[level]
             s1 = pmf.shape[1]
@@ -261,39 +255,32 @@ class _CycleWatch:
     copy by `np.array_equal` (Brent's cycle detection, BIT 1980). If the
     state at t equals the one kept at c < t, iteration is a deterministic
     map of that state, so the states, and with them the results, repeat
-    with period lam = t - c from iteration c on: iteration i and iteration
-    `last` (max_iters) give the same result whenever i >= c and
-    i = last (mod lam).
+    with period lam = t - c from iteration c on.
 
-    The decoder may then stop at such an i and report `last`, once its
-    stop rule provably never fires before `last`. A rule that reads the
-    results of iterations i - memory .. i reads only repeating results for
-    i >= c + memory, so it fires at i exactly when it fires at i + lam. Once
-    it has failed at lam consecutive such i, the last of them
-    c + memory + lam - 1, it has failed at every phase of the cycle and never
-    fires. The GF(2) syndrome test has memory 0, and every i >= t is
-    certified. The stall rule of decode_sum_bp has memory stall_window. A
-    fixed point (lam = 1) has constant hard decisions from c on, so the
-    stall rule fires by c + stall_window, before the skip is certified: the
-    decode still converges, at the same iteration.
+    A stop rule that reads the results of iterations i - memory .. i reads
+    only repeating results for i >= c + memory, so it fires at i exactly
+    when it fires at i + lam. Once it has failed at lam consecutive such i,
+    the last of them c + memory + lam - 1, it has failed at every phase of
+    the cycle and never fires: from there on the decode is certified never
+    to converge, and `ends` is true. The GF(2) syndrome test has memory 0,
+    so a repeat is certified when found. The stall rule of decode_sum_bp
+    has memory stall_window. A fixed point (lam = 1) has constant hard
+    decisions from c on, so the stall rule fires by c + stall_window,
+    before the cycle is certified: the decode still converges.
     """
 
-    def __init__(self, last: int, memory: int):
-        self.last, self.memory = last, memory
+    def __init__(self, memory: int):
+        self.memory = memory
         self.kept, self.kept_at, self.period = None, 0, 0
 
     def ends(self, i: int, state: list[np.ndarray]) -> bool:
-        """Whether iteration i's result is iteration `last`'s, with no stop in between."""
+        """Whether the stop rule, having failed at iteration i, can never fire again."""
         if not self.period:
             if self.kept is not None and all(map(np.array_equal, state, self.kept)):
                 self.period = i - self.kept_at
             elif i & (i - 1) == 0:
                 self.kept, self.kept_at = [s.copy() for s in state], i
-        return (
-            self.period > 0
-            and i >= self.kept_at + self.memory + self.period - 1
-            and (self.last - i) % self.period == 0
-        )
+        return self.period > 0 and i >= self.kept_at + self.memory + self.period - 1
 
 
 def decode_sum_bp(
@@ -306,9 +293,8 @@ def decode_sum_bp(
     another iteration follows) all pixel updates. Terminates when the hard
     decisions are unchanged for stall_window consecutive iterations, or at
     max_iters. Once the pixel->measurement messages repeat exactly (see
-    `_CycleWatch`), it stops at the first computed iteration that gives
-    max_iters' result with the stall rule certified never to fire, and
-    reports it as max_iters: the same result, fewer iterations computed.
+    `_CycleWatch`), it also stops, not converged, at the first iteration
+    where the stall rule is certified never to fire.
     """
     opts = opts or BpOptions()
     if len(ens.patterns) != m.n_shots:
@@ -333,7 +319,7 @@ def decode_sum_bp(
     hard = marginals > 0.5
     stable = 0
     converged = False
-    watch = _CycleWatch(opts.max_iters, opts.stall_window)
+    watch = _CycleWatch(opts.stall_window)
 
     for iteration in range(1, opts.max_iters + 1):
         m2p = [plan(p) for plan, p in zip(plans, p2m)]
@@ -363,11 +349,10 @@ def decode_sum_bp(
     residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
 
     diag = DecodeDiagnostics(
-        iterations_run=iteration if converged else opts.max_iters,
+        iterations_run=iteration,
         converged=converged,
         residual=residual,
         unpinned_pixel_count=unpinned,
-        iterations_computed=iteration,
         cycle_period=watch.period,
     )
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
@@ -382,8 +367,7 @@ def decode_gf2_bp(
     zero syndrome; the first K bits of the hard decision are the pixels.
     Once the check->variable messages repeat exactly (see `_CycleWatch`),
     every phase of the repeat has already failed the syndrome test, which
-    reads only the current word, so it stops at the first computed
-    iteration that gives max_iters' result and reports it as max_iters.
+    reads only the current word, so it stops there, not converged.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -396,7 +380,7 @@ def decode_gf2_bp(
     total = llrs.copy()
     hard = total < 0.0
     converged = False
-    watch = _CycleWatch(max_iters, 0)
+    watch = _CycleWatch(0)
     for iteration in range(1, max_iters + 1):
         # check -> variable from the previous totals, tanh rule with
         # prefix/suffix products
@@ -418,11 +402,10 @@ def decode_gf2_bp(
             break
 
     diag = DecodeDiagnostics(
-        iterations_run=iteration if converged else max_iters,
+        iterations_run=iteration,
         converged=converged,
         residual=math.nan,
         unpinned_pixel_count=0,
-        iterations_computed=iteration,
         cycle_period=watch.period,
     )
     return DecodeResult(

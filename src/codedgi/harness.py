@@ -466,7 +466,7 @@ def _write_ber_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) 
 
 def _write_sampling_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Reconstruction quality vs sampling multiplier at fixed SNR."""
-    truth_img = normalize(np.rint(scene.reflectance), cfg.width, cfg.height)
+    truth_img = SceneImage(cfg.width, cfg.height, np.rint(scene.reflectance))
     with open(os.path.join(run_dir, "sampling_sweep.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.sampling-sweep.v1\n")
         fh.write("multiplier,n_total,snr_db,ber_mean,ber_stderr,psnr_mean,trials\n")
@@ -474,7 +474,7 @@ def _write_sampling_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_po
             decoded = [methods["ldpc"] for _, methods in trials]
             bers = np.array([b for b, _ in decoded])
             psnrs = np.array(
-                [psnr(truth_img, normalize(pixels, cfg.width, cfg.height)) for _, pixels in decoded]
+                [psnr(truth_img, SceneImage(cfg.width, cfg.height, pixels)) for _, pixels in decoded]
             )
             fh.write(
                 f"{m},{m * cfg.k_pixels},{cfg.snr_db:g},"
@@ -486,14 +486,18 @@ def _write_sampling_sweep(cfg: RunConfig, scene: SceneImage, run_dir: str, by_po
 
 def _write_compare(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Coded decode vs CGI/DGI/PINV on matched measurement budgets."""
-    truth_img = normalize(np.rint(scene.reflectance), cfg.width, cfg.height)
+    truth_img = SceneImage(cfg.width, cfg.height, np.rint(scene.reflectance))
     with open(os.path.join(run_dir, "compare.csv"), "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.compare.v1\n")
         fh.write("method,trial,ber,psnr\n")
         for method in ("ldpc", "cgi", "dgi", "pinv"):
             for t, (_, methods) in enumerate(by_point[0]):
                 b, image = methods[method]
-                img = normalize(image, cfg.width, cfg.height)
+                # decoded bits are an image already; the analog baselines are min-max mapped
+                if method == "ldpc":
+                    img = SceneImage(cfg.width, cfg.height, image)
+                else:
+                    img = normalize(image, cfg.width, cfg.height)
                 fh.write(f"{method},{t},{b!r},{psnr(truth_img, img)!r}\n")
                 if t == 0:
                     name = f"{method}_snr{cfg.snr_db:g}_s{cfg.sampling}_t0.pgm"

@@ -233,15 +233,15 @@ def test_decode_default_flags_keep_bytes(tmp_path, glyph_pgm, capsys):
     assert lines[-2].split("(")[1] == lines[-1].split("(")[1]
 
 
-def test_decode_reports_iterations_computed_and_cycle_period(tmp_path, glyph_pgm, capsys, monkeypatch):
+def test_decode_reports_iterations_and_cycle_period(tmp_path, glyph_pgm, capsys, monkeypatch):
     real = codedgi.cli.decode_sum_bp
     results = []
     monkeypatch.setattr(codedgi.cli, "decode_sum_bp", lambda *a: results.append(real(*a)) or results[-1])
     assert main([*_decode_args(tmp_path, glyph_pgm), "--out", str(tmp_path / "d.pgm")]) == 0
     report = capsys.readouterr().out.splitlines()[-1]
     d = results[0].diagnostics
-    assert f"iterations={d.iterations_run} computed={d.iterations_computed} " in report
-    assert f" cycle_period={d.cycle_period} converged={d.converged} " in report
+    assert f"(iterations={d.iterations_run} cycle_period={d.cycle_period} " in report
+    assert f" converged={d.converged} " in report
 
 
 def _spy_on_decode(monkeypatch) -> list:

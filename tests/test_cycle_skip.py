@@ -1,12 +1,16 @@
-"""Skipping a repeated BP message state: the results must not change.
+"""A certified BP limit cycle ends the decode: the oracle is the plain loop.
 
-Both decoders stop early once their message state repeats exactly and report
-the result of iteration max_iters. The plain loops they ran before, kept here
-verbatim as oracles, compute every iteration; each decode must match them bit
-for bit in pixels, marginals, iterations_run, converged and residual.
+Both decoders stop once their message state repeats exactly and their stop
+rule is certified never to fire again, and return the iterate they computed
+last. The plain loops they ran before, kept here verbatim as oracles,
+compute every iteration. Each decode must match its plain loop run for
+exactly `iterations_run` iterations, bit for bit in pixels, marginals,
+converged and residual; a decode that stopped on a cycle must be one the
+plain loop never converges on within max_iters.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +31,7 @@ from codedgi import (
     random_speckle,
     sense,
 )
-from codedgi import harness
+from codedgi import decoder, harness
 from codedgi.decoder import (
     MSG_FLOOR,
     DecodeDiagnostics,
@@ -127,21 +131,42 @@ def assert_same(fast, slow):
     assert (got.iterations_run, got.converged) == (want.iterations_run, want.converged)
     assert np.array_equal(got.residual, want.residual, equal_nan=True)
     assert got.unpinned_pixel_count == want.unpinned_pixel_count
-    assert got.iterations_computed <= got.iterations_run
-    if got.iterations_computed < got.iterations_run:
-        assert got.cycle_period > 0 and not got.converged
+
+
+def stopped_on_cycle(diag, max_iters):
+    return not diag.converged and diag.iterations_run < max_iters
+
+
+def check_against(fast, max_iters, run_to):
+    """Match `fast` to `run_to(n)`, the plain loop run for at most n iterations."""
+    d = fast.diagnostics
+    if not stopped_on_cycle(d, max_iters):
+        assert_same(fast, run_to(max_iters))
+        return fast
+    assert d.cycle_period > 0
+    assert_same(fast, run_to(d.iterations_run))
+    # the certificate: the plain loop never converges, and its result at
+    # max_iters is the decode's when they share the cycle's phase
+    full = run_to(max_iters)
+    assert not full.diagnostics.converged
+    if (max_iters - d.iterations_run) % d.cycle_period == 0:
+        assert np.array_equal(fast.pixels, full.pixels)
+        assert fast.marginals.tobytes() == full.marginals.tobytes()
+    return fast
 
 
 def compare_sum_bp(m, ens, opts):
-    fast = decode_sum_bp(m, ens, opts)
-    assert_same(fast, plain_sum_bp(m, ens, opts))
-    return fast
+    def run_to(n):
+        return plain_sum_bp(m, ens, replace(opts, max_iters=n))
+
+    return check_against(decode_sum_bp(m, ens, opts), opts.max_iters, run_to)
 
 
 def compare_gf2_bp(llrs, h, max_iters):
-    fast = decode_gf2_bp(llrs, h, max_iters)
-    assert_same(fast, plain_gf2_bp(llrs, h, max_iters))
-    return fast
+    def run_to(n):
+        return plain_gf2_bp(llrs, h, n)
+
+    return check_against(decode_gf2_bp(llrs, h, max_iters), max_iters, run_to)
 
 
 # the four workload configs of bench/workloads.py, as RunConfig overrides
@@ -179,13 +204,28 @@ def test_workload_trials_match_plain_loops(monkeypatch, name):
     trials = 1 if name == "paper-v" else 2
     diags = run_trials(monkeypatch, cfg, trials)
     assert len(diags) == trials * len(harness._points(cfg))
-    if name in ("desk-ber", "desk-gf2"):  # undamped: some decodes repeat and skip
-        assert any(d.iterations_computed < d.iterations_run for d in diags)
+    if name in ("desk-ber", "desk-gf2"):  # undamped: some decodes end on a cycle
+        assert any(stopped_on_cycle(d, cfg.max_iters) for d in diags)
+
+
+def summary(res):
+    d = res.diagnostics
+    return d.iterations_run, d.converged, d.cycle_period
+
+
+def desk_case(seed):
+    """The desk config (16x16, degree 8, no CSI) at 8 dB on code seed `seed`."""
+    cfg = RunConfig(**_DESK)
+    spec = CodeSpec(cfg.k_pixels, 2 * cfg.k_pixels, DegreeDistribution.regular(8), seed)
+    ens = patterns_from_generator(build_generator(spec))
+    ch = ChannelParams.at_snr_db(8.0, cfg.es, cfg.fading, csi_known=False)
+    return sense(ens, load_scene(cfg), ch, seed), ens
 
 
 def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
     # counts, not wall time: on the desk config at 8 dB no undamped decode
-    # converges, and most settle into an exact 2-cycle within about 12 iterations
+    # converges, and each settles into an exact 2-cycle that ends it, most
+    # after 12 iterations
     cfg = RunConfig(**_DESK, snr_db_list=(8.0,), damping=0.0)
     seen = []
     real = harness.decode_sum_bp
@@ -195,12 +235,42 @@ def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
     for trial in range(20):
         harness._trial((point_cfg, scene, 0, trial))
     diags = [r.diagnostics for r in seen]
-    assert [d.iterations_run for d in diags] == [50] * 20
-    assert np.mean([d.iterations_computed for d in diags]) <= 25
+    assert all(stopped_on_cycle(d, cfg.max_iters) for d in diags)
+    assert np.mean([d.iterations_run for d in diags]) <= 25
+
+
+def test_desk_results_do_not_depend_on_max_iters_parity():
+    # at 8 dB every undamped desk decode ends in a 2-cycle, whose two phases
+    # gave different pixels for max_iters 50 and 51 while the cycle ran on
+    for seed in range(20):
+        m, ens = desk_case(seed)
+        even, odd = (decode_sum_bp(m, ens, BpOptions(max_iters=n)) for n in (50, 51))
+        assert np.array_equal(even.pixels, odd.pixels)
+        assert even.marginals.tobytes() == odd.marginals.tobytes()
+        assert summary(even) == summary(odd)
+
+
+def test_iterations_run_counts_the_variable_passes(monkeypatch):
+    # bench/tracing.py reads iterations_run as the work a decode did, and
+    # each iteration sums the variables' incoming messages once, in _totals
+    calls = []
+    real = decoder._totals
+    monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
+    for seed in range(10):
+        m, ens = desk_case(seed)
+        diag = decode_sum_bp(m, ens).diagnostics
+        # one pass per iteration, after the one that folds degree-1 checks in
+        assert len(calls) == diag.iterations_run + 1
+        calls.clear()
+    for period in range(1, 31):
+        llrs, h = ring_code(period, frustrated=False)
+        diag = decode_gf2_bp(llrs, h, 4 * period + 31).diagnostics
+        assert len(calls) == diag.iterations_run
+        calls.clear()
 
 
 def random_case(seed):
-    """A small sum-constraint decode drawn over the skip's risky settings."""
+    """A small sum-constraint decode drawn over the cycle stop's risky settings."""
     rng = np.random.default_rng(seed)
     side = int(rng.integers(4, 9))
     k = side * side
@@ -228,10 +298,11 @@ def random_case(seed):
 
 
 def test_random_decodes_match_plain_loops():
-    diags = [compare_sum_bp(*random_case(seed)).diagnostics for seed in range(120)]
-    skipped = [d for d in diags if d.iterations_computed < d.iterations_run]
-    # the grid must reach the skip, else matching the plain loop shows nothing
-    assert len(skipped) >= 10
+    cases = [random_case(seed) for seed in range(120)]
+    diags = [compare_sum_bp(*case).diagnostics for case in cases]
+    stopped = [d for d, (*_, opts) in zip(diags, cases) if stopped_on_cycle(d, opts.max_iters)]
+    # the grid must reach the cycle stop, else matching the plain loop shows nothing
+    assert len(stopped) >= 10
     # a fixed point found before the stall rule fired: it must still converge
     assert any(d.cycle_period == 1 and d.converged for d in diags)
 
@@ -265,31 +336,31 @@ def test_gf2_cycles_of_each_period_match_plain_loop(period):
     if period % 2 == 0 and period > 2:
         cases.append(ring_code(period // 2, frustrated=True))
     for llrs, h in cases:
-        # the first, second and last phase of the cycle after detection
+        # the first, second and last phase of the cycle after detection give
+        # one result: the decode ends where the cycle is certified
+        first = None
         for max_iters in sorted({4 * period + 30 + r for r in (0, 1, period - 1)}):
             res = compare_gf2_bp(llrs, h, max_iters)
             assert res.diagnostics.cycle_period == period
-            assert res.diagnostics.iterations_computed < max_iters
-            assert not res.diagnostics.converged
+            assert stopped_on_cycle(res.diagnostics, max_iters)
+            first = first or res
+            assert np.array_equal(res.pixels, first.pixels)
+            assert res.marginals.tobytes() == first.marginals.tobytes()
+            assert summary(res) == summary(first)
 
 
 def test_gf2_random_decodes_match_plain_loop():
     rng = np.random.default_rng(5)
-    skipped = 0
+    stopped = 0
     for _ in range(200):
         n = int(rng.integers(6, 40))
         d = int(rng.integers(2, 7))
         rows = [np.sort(rng.choice(n, d, replace=False)) for _ in range(int(rng.integers(2, n)))]
         h = ParityCheckMatrix(0, n, SparseRows.of(rows))
         llrs = rng.normal(0.0, float(rng.choice([0.5, 2.0, 8.0])), n)
-        res = compare_gf2_bp(llrs, h, int(rng.integers(1, 120)))
-        skipped += res.diagnostics.iterations_computed < res.diagnostics.iterations_run
-    assert skipped >= 20
-
-
-def test_diagnostics_default_to_every_iteration_computed():
-    diag = DecodeDiagnostics(iterations_run=7, converged=False, residual=0.0, unpinned_pixel_count=0)
-    assert (diag.iterations_computed, diag.cycle_period) == (7, 0)
+        max_iters = int(rng.integers(1, 120))
+        stopped += stopped_on_cycle(compare_gf2_bp(llrs, h, max_iters).diagnostics, max_iters)
+    assert stopped >= 20
 
 
 def test_state_of_no_messages_is_a_fixed_point():

@@ -168,7 +168,7 @@ def oracle_check_messages(p, r, amp, ch):
 
 class TestCheckUpdate:
     @pytest.mark.parametrize("n0", [0.5, 0.0])
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16, 33, 127, 128])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16, 33, 127, 128])
     def test_matches_leave_one_out_oracle(self, d, n0):
         rng = np.random.default_rng(1000 * d + int(n0 > 0))
         b = 4
@@ -191,7 +191,7 @@ class TestCheckUpdate:
         np.testing.assert_allclose(logits, llr(expect), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n0", [0.5, 0.0])
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 100, 128, 129])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13, 100, 128, 129])
     def test_plan_matches_oneshot_kernel_bit_for_bit(self, d, n0):
         rng = np.random.default_rng(7000 + d)
         b = 3

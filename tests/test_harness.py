@@ -1,6 +1,7 @@
 """Harness: configs, seed mixing, experiment artifacts, manifest replay."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from codedgi.harness import (
     replay,
     run_experiment,
 )
-from codedgi.pgmio import write_pgm
+from codedgi.pgmio import read_pgm, write_pgm
 
 
 def tiny_cfg(**kw):
@@ -304,6 +305,35 @@ class TestOtherExperiments:
             assert np.array_equal(ens.patterns.sizes, np.concatenate([np.ones(g.k_info), cols.sizes]))
         d2 = run_experiment(replace(cfg, out=str(tmp_path / "b"), threads=2))
         assert _tree_bytes(d1) == _tree_bytes(d2)
+
+    @pytest.mark.parametrize("experiment", ["compare", "sweep-sampling"])
+    @pytest.mark.parametrize("white", [False, True])
+    def test_constant_decodes_are_scored_and_drawn_as_decoded(self, tmp_path, experiment, white):
+        # at -20 dB the prior decides every pixel: 0.999 lights all of the
+        # glyphs, 0.001 darkens all of an all-white scene. Neither the decode
+        # nor the truth may be min-max mapped, which draws a constant as black
+        scene = "glyphs"
+        if white:
+            scene = str(tmp_path / "white.pgm")
+            write_pgm(scene, 16, 16, np.ones(256))
+        cfg = tiny_cfg(
+            experiment=experiment, scene=scene, width=16, height=16, snr_db=-20.0,
+            prior=0.001 if white else 0.999, trials=4, multipliers=(2,), out=str(tmp_path / "r"),
+        )
+        run_dir = run_experiment(cfg)
+        lit = 0.0 if white else 1.0
+        ber = float(np.mean(np.rint(load_scene(cfg).reflectance) != lit))
+        psnr = -10.0 * math.log10(ber)  # between binary images the MSE is the BER
+        _, _, drawn = read_pgm(os.path.join(run_dir, "ldpc_snr-20_s2_t0.pgm"))
+        assert np.all(drawn == lit)
+        if experiment == "compare":
+            lines = Path(run_dir, "compare.csv").read_text().splitlines()[2:]
+            rows = [line.split(",") for line in lines if line.startswith("ldpc,")]
+            assert [(float(b), float(p)) for _, _, b, p in rows] == [(ber, psnr)] * cfg.trials
+        else:
+            row = Path(run_dir, "sampling_sweep.csv").read_text().splitlines()[2].split(",")
+            assert float(row[3]) == ber
+            assert float(row[5]) == pytest.approx(psnr, rel=1e-12)
 
     def test_grayscale_artifacts(self, tmp_path):
         cfg = tiny_cfg(
