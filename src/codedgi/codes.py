@@ -10,9 +10,9 @@ are all sparse 0/1 matrices given by the supports of their rows, and all are
 `SparseRows`: the supports stored back to back with the row lengths. Each
 builds its degree-grouped layout once, on first use, stacking the rows of
 each size into a (B, d) index matrix. Every row sum (parity symbols,
-syndromes, bucket signals, the decoders' checks) is `SparseRows.sums`, the
-mat-vec A v; its transpose A^T s is one `np.bincount` over the same index
-matrices.
+syndromes, bucket signals, the sum-constraint decoder's residual) is
+`SparseRows.sums`, the mat-vec A v; its transpose A^T s is one `np.bincount`
+over the same index matrices.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class SparseRows:
         if self._groups is None:
             starts = np.cumsum(self.sizes) - self.sizes
             self._groups = []
-            for d in np.unique(self.sizes[self.sizes > 0]):
+            # bincount, not np.unique, which imports numpy.ma on first use
+            for d in np.flatnonzero(np.bincount(self.sizes)[1:]) + 1:
                 ids = np.flatnonzero(self.sizes == d)
                 self._groups.append((ids, self.flat[starts[ids, None] + np.arange(d)]))
         return self._groups

@@ -4,9 +4,8 @@ Both decoders run the same sum-product core on a bipartite graph: the checks
 are the rows of a `codes.SparseRows` (the patterns, or the rows of H), batched
 by degree with its `.groups` layout. That layout is built once per matrix, so
 decode_sum_bp reuses the one `sense` built. Messages live in plain per-group
-arrays, and every variable pass sums its incoming logits with `_totals`. Row
-sums over the checks (the residual of decode_sum_bp, the syndrome test of
-decode_gf2_bp) are `SparseRows.sums`.
+arrays, and every variable pass sums its incoming logits with `_totals`.
+The residual of decode_sum_bp is a row sum, `SparseRows.sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
@@ -37,7 +36,11 @@ decode_gf2_bp) are `SparseRows.sums`.
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
   for the binary-symbol channel view of the same system. Its messages are
   LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
-  `forward.count_loglik`.
+  `forward.count_loglik`. Each group of B checks of degree d is a
+  `_ParityGroup`, which keeps its messages check-major, in (d, B) arrays
+  built once per decode, and tests its checks' syndrome as an XOR-reduce
+  over the same index layout. `_totals` reads the messages through (B, d)
+  views, so every belief adds in the order of the (B, d) groups.
 
 Each decoder is one row of `harness._DECODERS`, which acquires the scene
 and calls it; the tests' exhaustive oracles score scenes with the same
@@ -358,16 +361,65 @@ def decode_sum_bp(
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
 
+class _ParityGroup:
+    """B parity checks of degree d, their messages kept check-major, buffers built once.
+
+    Row j of the (d, B) arrays `cols` and `msg` holds the j-th edge of every
+    check: its variable and its check->variable LLR. The tanh rule sends
+    edge j the product of the other d - 1 factors t_i, prefix_j * suffix_j
+    with prefix_j = t_0 * ... * t_(j-1) and suffix_j = t_(d-1) * ... * t_(j+1),
+    each multiplied left to right as `np.cumprod` multiplies. The (2d, B)
+    buffer `_t` holds the factors twice over, so t_(j-1) and t_(d-j) are its
+    rows j-1 and 2d-j, one strided view. Step j multiplies that pair into
+    runs[j] = (prefix_j, suffix_(d-1-j)) from runs[j-1] (runs[0] is 1): one
+    numpy call per step grows both products for all B checks.
+    """
+
+    def __init__(self, vr: np.ndarray):
+        self.cols = np.ascontiguousarray(vr.T)
+        d, b = self.cols.shape
+        self.msg = np.zeros((d, b))
+        self._t = np.empty((2 * d, b))
+        runs = np.ones((d, 2, b))
+        self._steps = [
+            (runs[j - 1], self._t[j - 1 :: 2 * (d - j) + 1][:2], runs[j]) for j in range(1, d)
+        ]
+        self._ends = runs[:, 0], runs[::-1, 1]  # prefix_j and suffix_j at row j
+
+    def update(self, total: np.ndarray) -> None:
+        """Replace `msg` with the messages computed from the variable totals `total`."""
+        x = self._t[: len(self.msg)]
+        np.subtract(total[self.cols], self.msg, out=x)
+        x *= 0.5  # exactly x / 2.0
+        np.tanh(x, out=x)
+        self._t[len(x) :] = x
+        for prev, factor, run in self._steps:
+            np.multiply(prev, factor, out=run)
+        msg = np.multiply(*self._ends, out=self.msg)
+        # clip, as max then min, so every message stays within 2 atanh(1 - 1e-15) ~ 35.2
+        np.maximum(msg, -1 + 1e-15, out=msg)
+        np.minimum(msg, 1 - 1e-15, out=msg)
+        np.arctanh(msg, out=msg)
+        msg *= 2.0
+
+    def satisfied(self, hard: np.ndarray) -> bool:
+        """Whether the bits of every check XOR to 0 in the hard decisions `hard`."""
+        return not np.bitwise_xor.reduce(hard[self.cols], axis=0).any()
+
+
 def decode_gf2_bp(
     llrs: np.ndarray, h: ParityCheckMatrix, max_iters: int = BpOptions.max_iters
 ) -> DecodeResult:
     """Sum-product over GF(2) with the tanh rule; LLR = log p(0)/p(1).
 
     Stops after `max_iters` iterations, or once the hard-decision word has
-    zero syndrome; the first K bits of the hard decision are the pixels.
-    Once the check->variable messages repeat exactly (see `_CycleWatch`),
-    every phase of the repeat has already failed the syndrome test, which
-    reads only the current word, so it stops there, not converged.
+    zero syndrome (an XOR-reduce over each group's (d, B) index layout);
+    the first K bits of the hard decision are the pixels. Once the
+    check->variable messages repeat exactly (see `_CycleWatch`), every
+    phase of the repeat has already failed the syndrome test, which reads
+    only the current word, so it stops there, not converged. Products and
+    sums run in the order of a loop over (B, d) groups with `np.cumprod`,
+    so results match that loop to the bit.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -376,26 +428,19 @@ def decode_gf2_bp(
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
 
     groups = h.rows.groups
-    c2v = [np.zeros(vr.shape) for _, vr in groups]
+    checks = [_ParityGroup(vr) for _, vr in groups]
+    c2v = [check.msg for check in checks]
+    beliefs = [msg.T for msg in c2v]  # (B, d) views: _totals adds in row-major edge order
     total = llrs.copy()
     hard = total < 0.0
     converged = False
     watch = _CycleWatch(0)
     for iteration in range(1, max_iters + 1):
-        # check -> variable from the previous totals, tanh rule with
-        # prefix/suffix products
-        for i, (_, vr) in enumerate(groups):
-            t = np.tanh((total[vr] - c2v[i]) / 2.0)
-            prefix = np.ones_like(t)  # prefix[:, j] = prod of t[:, :j]
-            np.cumprod(t[:, :-1], axis=1, out=prefix[:, 1:])
-            suffix = np.ones_like(t)  # suffix[:, j] = prod of t[:, j + 1:]
-            np.cumprod(t[:, :0:-1], axis=1, out=suffix[:, -2::-1])
-            # the clip keeps every message within 2 atanh(1 - 1e-15) ~ 35.2
-            c2v[i] = 2.0 * np.arctanh(np.clip(prefix * suffix, -1 + 1e-15, 1 - 1e-15))
-
-        total = _totals(llrs, groups, c2v, h.n_total)
+        for check in checks:
+            check.update(total)
+        total = _totals(llrs, groups, beliefs, h.n_total)
         hard = total < 0.0
-        if not (h.rows.sums(hard) & 1).any():
+        if all(check.satisfied(hard) for check in checks):
             converged = True
             break
         if watch.ends(iteration, c2v):

@@ -20,7 +20,6 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -398,6 +397,9 @@ def _map_jobs(jobs, worker, threads: int):
     workers = min(threads, len(jobs))
     if workers <= 1:
         return [worker(j) for j in jobs]
+    # imported here: a one-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, jobs, chunksize=1))
 

@@ -66,7 +66,8 @@ def psnr(truth: SceneImage, recon: SceneImage) -> float:
     mse = float(np.mean((truth.reflectance - recon.reflectance) ** 2))
     if mse == 0:
         return math.inf
-    return -10.0 * math.log10(mse)
+    # + 0.0 turns the -0.0 of an MSE of 1 into 0.0 and leaves every other value as it is
+    return -10.0 * math.log10(mse) + 0.0
 
 
 def mean_abs_error(truth: SceneImage, recon: SceneImage) -> float:

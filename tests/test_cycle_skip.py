@@ -27,6 +27,8 @@ from codedgi import (
     build_generator,
     decode_gf2_bp,
     decode_sum_bp,
+    derive_parity_check,
+    encode,
     patterns_from_generator,
     random_speckle,
     sense,
@@ -361,6 +363,42 @@ def test_gf2_random_decodes_match_plain_loop():
         max_iters = int(rng.integers(1, 120))
         stopped += stopped_on_cycle(compare_gf2_bp(llrs, h, max_iters).diagnostics, max_iters)
     assert stopped >= 20
+
+
+def noisy_word_llrs(g, rng, mean):
+    """Channel LLRs of a random codeword of `g` sent as +-mean with variance 2 mean."""
+    word = encode(g, rng.integers(0, 2, g.k_info))
+    return (1.0 - 2.0 * word) * mean + rng.normal(0.0, math.sqrt(2.0 * mean), g.n_total)
+
+
+def test_gf2_mixed_degree_decodes_match_plain_loop():
+    # rows of several degrees, 1 and 2 among them, each degree its own group
+    rng = np.random.default_rng(11)
+    degrees = set()
+    outcomes = set()
+    for seed in range(20):
+        g = build_generator(CodeSpec(48, 96, parse_distribution("1:0.2,3:0.5,8:0.3"), seed))
+        n = 30
+        hand = [np.sort(rng.choice(n, d, replace=False)) for d in rng.integers(0, 7, 25)]
+        for h, llrs in (
+            (derive_parity_check(g), noisy_word_llrs(g, rng, float(rng.choice([0.5, 2.0])))),
+            (ParityCheckMatrix(0, n, SparseRows.of(hand)), rng.normal(0.0, 8.0, n)),
+        ):
+            degrees |= {vr.shape[1] for _, vr in h.rows.groups}
+            max_iters = int(rng.integers(1, 60))
+            d = compare_gf2_bp(llrs, h, max_iters).diagnostics
+            outcomes.add((d.converged, stopped_on_cycle(d, max_iters)))
+    assert {1, 2, 4, 9} <= degrees
+    assert len(outcomes) == 3  # converged, stopped on a cycle, ran to max_iters
+
+
+def test_gf2_paper_scale_decode_matches_plain_loop():
+    # K = 1024, N = 2048, degree 128: one group of 1024 checks of degree 129
+    g = build_generator(CodeSpec(1024, 2048, DegreeDistribution.regular(128), 3))
+    h = derive_parity_check(g)
+    llrs = noisy_word_llrs(g, np.random.default_rng(3), 8.0)
+    d = compare_gf2_bp(llrs, h, 8).diagnostics
+    assert (d.iterations_run, d.converged) == (6, True)
 
 
 def test_state_of_no_messages_is_a_fixed_point():

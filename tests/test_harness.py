@@ -1,5 +1,6 @@
 """Harness: configs, seed mixing, experiment artifacts, manifest replay."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -393,7 +394,7 @@ class TestMapJobs:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         jobs = list(range(n_jobs))
         assert harness._map_jobs(jobs, lambda j: 10 * j, threads) == [10 * j for j in jobs]
         assert created == workers
@@ -485,9 +486,12 @@ with tempfile.TemporaryDirectory() as tmp:
         for mode in ("sum-constraint", "gf2"):
             if (experiment, mode) != ("grayscale", "gf2"):  # that pair is a config error
                 run_experiment(replace(base, experiment=experiment, decoder_mode=mode))
+        if experiment == "sweep-ber":
+            report["ma_after_sweep_ber"] = "numpy.ma" in sys.modules
     codedgi.cli.main(["bound", "--k", "64", "--n", "128", "--snr-db", "0", "10",
                       "--out", tmp + "/bound.csv"])
     report["after_runs"] = scipy_modules()
+    report["pool_after_runs"] = "multiprocessing" in sys.modules
     run_experiment(replace(base, experiment="compare"))
 report["after_compare"] = scipy_modules()
 print(json.dumps(report))
@@ -498,7 +502,8 @@ def test_import_leaves_scipy_linalg_unloaded():
     # importing scipy costs about 0.25 s cold; only the pseudo-inverse uses it
     # (scipy.linalg, loaded lazily), so importing the package, the harness and
     # the CLI, running every other experiment and the bound command must load
-    # no scipy module at all
+    # no scipy module at all. Nor may sweep-ber load numpy.ma (about 22 ms,
+    # which np.unique imports), or a one-process run multiprocessing (12-16 ms)
     src = str(Path(codedgi.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -508,6 +513,8 @@ def test_import_leaves_scipy_linalg_unloaded():
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["linalg_after_import"] is False
     assert report["after_import"] == []
+    assert report["ma_after_sweep_ber"] is False
     assert report["after_runs"] == []
+    assert report["pool_after_runs"] is False
     assert "scipy.linalg" in report["after_compare"]
     assert "scipy.special" not in report["after_compare"]

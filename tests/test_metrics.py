@@ -76,6 +76,12 @@ class TestPsnr:
         recon = SceneImage(2, 2, np.ones(4))  # MSE = 1
         assert psnr(truth, recon) == pytest.approx(0.0)
 
+    def test_every_pixel_wrong_gives_positive_zero(self):
+        # compare.csv wrote "-0.0" for a decode with BER 1
+        truth = SceneImage(2, 2, np.ones(4))
+        recon = SceneImage(2, 2, np.zeros(4))
+        assert math.copysign(1.0, psnr(truth, recon)) == 1.0
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             psnr(SceneImage(2, 2, np.zeros(4)), SceneImage(4, 1, np.zeros(4)))
