@@ -8,8 +8,8 @@ The bound is the sum of two error mechanisms, wrapped in a global 1/2:
 
 with g = Es/N0, Rc = K/N, and a the probability that a single wrong pixel
 flips a random parity column. Binomial weights are evaluated in log space
-(log-gamma) so N-K up to ~8192 stays finite; they do not depend on SNR, so
-`bound_sweep` builds them once per sweep.
+(log-gamma) so N-K up to ~8192 stays finite. `bound_sweep` evaluates each
+SNR with the single-SNR functions, so its rows are theirs bit for bit.
 
 Special functions come from the standard library (`math.erfc`,
 `math.lgamma`, `math.log1p`) with numpy; this module imports no scipy, so
@@ -111,16 +111,12 @@ def binom_weight_sum(params: BoundParams) -> float:
     return float(_binom_weights(params).sum())
 
 
-def _error_mixture(params: BoundParams, weights: np.ndarray) -> float:
-    """0.5 * sum_j weights[j] * erfc(sqrt((1 + j) Es / (Rc N0)))."""
+def decoding_error_term(params: BoundParams) -> float:
+    """Binomial mixture of AWGN pairwise errors over flipped-parity counts j."""
+    weights = _binom_weights(params)
     args = np.arange(1, len(weights) + 1) * params.es / (params.rate * params.n0)
     erfcs = np.array([math.erfc(x) for x in np.sqrt(args).tolist()])
     return float(0.5 * np.sum(weights * erfcs))
-
-
-def decoding_error_term(params: BoundParams) -> float:
-    """Binomial mixture of AWGN pairwise errors over flipped-parity counts j."""
-    return _error_mixture(params, _binom_weights(params))
 
 
 def ber_lower_bound(params: BoundParams) -> float:
@@ -142,14 +138,11 @@ def bound_sweep(
     channel a run at that SNR uses, bit for bit.
     """
     rows = []
-    weights = None
     for snr_db in snr_db_list:
         n0 = ChannelParams.at_snr_db(snr_db, es).n0
         params = BoundParams(k_info=k_info, n_total=n_total, dist=dist, es=es, n0=n0)
-        if weights is None:
-            weights = _binom_weights(params)
         p_ray = rayleigh_ber(params.gamma)
-        p_e = _error_mixture(params, weights)
+        p_e = decoding_error_term(params)
         rows.append(
             {
                 "snr_db": float(snr_db),

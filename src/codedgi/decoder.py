@@ -3,9 +3,10 @@
 Both decoders run the same sum-product core on a bipartite graph: the checks
 are the rows of a `codes.SparseRows` (the patterns, or the rows of H), batched
 by degree with its `.groups` layout. That layout is built once per matrix, so
-decode_sum_bp reuses the one `sense` built. Messages live in plain per-group
-arrays, and every variable pass sums its incoming logits with `_totals`.
-The residual of decode_sum_bp is a row sum, `SparseRows.sums`.
+decode_sum_bp reuses the one `sense` built. Each group keeps its messages
+once, in its `_CheckPlan` or `_ParityGroup`; every variable pass sums its
+incoming logits with `_totals`. Both decoders take a `BpOptions`. The
+residual of decode_sum_bp is a row sum, `SparseRows.sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
@@ -74,7 +75,8 @@ MSG_FLOOR = 1e-12
 class BpOptions:
     """The decoder settings: the one place their names, defaults and ranges live.
 
-    `prior` is the prior probability that a pixel is lit.
+    Both decoders take one; decode_gf2_bp reads only `max_iters`. `prior` is
+    the prior probability that a pixel is lit.
     """
 
     max_iters: int = 50
@@ -145,13 +147,13 @@ def _likelihoods(m: Measurement, ids: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _edge_logits(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """(B, d) logits m1 / (m0 + m1) from (d, B) tables; 0.5 where both are 0."""
+    """Logits m1 / (m0 + m1), in the tables' (d, B) shape; 0.5 where both are 0."""
     denom = m0 + m1
     msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
     np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR, out=msg)
     # log p - log1p(-p), in place: denom holds log1p(-p)
     np.log1p(np.negative(msg, out=denom), out=denom)
-    return np.subtract(np.log(msg, out=msg), denom, out=msg).T
+    return np.subtract(np.log(msg, out=msg), denom, out=msg)
 
 
 class _CheckPlan:
@@ -177,8 +179,10 @@ class _CheckPlan:
 
     Everything but the arithmetic is done here, once: the level buffers,
     the padding leaves, the zero borders the convolutions slide over, and
-    the window and sibling views each einsum reads and writes. Below the
-    top level, node n of the level with s + 1 counts sits at row
+    the window and sibling views each einsum reads and writes. Leaf row 1
+    is `p`, the decode's one copy of the (d, B) pixel->measurement
+    probabilities: set to the prior, then overwritten by each pixel pass.
+    Below the top level, node n of the level with s + 1 counts sits at row
     s + n (2s + 1) of its level's buffer: every node has s zero rows on
     each side, so an even node's padded pmf is a plain view. The down pass
     alternates between two buffers. The likelihood table `lik` ((d'+1, B),
@@ -217,15 +221,15 @@ class _CheckPlan:
             gamma = out.reshape(pmf.shape)
         self._leaves = nodes[0]
         self._leaves[d:, 0] = 1.0
+        self.p = self._leaves[:d, 1]
         self._m = gamma[:d, 0], gamma[:d, 1]
 
     def set_likelihoods(self, m: Measurement, ids: np.ndarray) -> None:
         self.lik[: self.d + 1] = _likelihoods(m, ids, self.d)
 
-    def __call__(self, p2m: np.ndarray) -> np.ndarray:
-        """(B, d) logits from (B, d) pixel->measurement probabilities."""
-        np.subtract(1.0, p2m.T, out=self._leaves[: self.d, 0])
-        self._leaves[: self.d, 1] = p2m.T
+    def __call__(self) -> np.ndarray:
+        """(d, B) measurement->pixel logits from the probabilities in `p`."""
+        np.subtract(1.0, self.p, out=self._leaves[: self.d, 0])
         for windows, odds, out in self._up:
             np.einsum("nkbj,njb->nkb", windows, odds, out=out)
         for windows, sibling, out in self._down:
@@ -316,7 +320,7 @@ def decode_sum_bp(
     plans = _check_plans([px.shape for _, px in groups])
     for plan, (ids, _) in zip(plans, groups):
         plan.set_likelihoods(m, ids)
-    p2m = [np.full(px.shape, opts.prior) for _, px in groups]
+        plan.p[...] = opts.prior
 
     marginals = np.full(k, opts.prior)
     hard = marginals > 0.5
@@ -325,8 +329,8 @@ def decode_sum_bp(
     watch = _CycleWatch(opts.stall_window)
 
     for iteration in range(1, opts.max_iters + 1):
-        m2p = [plan(p) for plan, p in zip(plans, p2m)]
-        total = _totals(prior, groups, m2p, k)
+        m2p = [plan() for plan in plans]
+        total = _totals(prior, groups, [msg.T for msg in m2p], k)
         marginals = _sigmoid(total)
         new_hard = marginals > 0.5
         if np.array_equal(new_hard, hard):
@@ -337,19 +341,20 @@ def decode_sum_bp(
         if stable >= opts.stall_window:
             converged = True
             break
-        if iteration == opts.max_iters or watch.ends(iteration, p2m):
+        if iteration == opts.max_iters or watch.ends(iteration, [plan.p for plan in plans]):
             break
         # pixel pass: sum incoming logits once, subtract own edge per message
-        for i, (_, px) in enumerate(groups):
-            outgoing = _sigmoid(total[px] - m2p[i])
+        for plan, msg, (_, px) in zip(plans, m2p, groups):
+            outgoing = _sigmoid(total[px.T] - msg)
             if opts.damping > 0:
-                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * p2m[i]
-            p2m[i] = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
+                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * plan.p
+            np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR, out=plan.p)
 
     pixels = hard.astype(np.uint8)
-    # residual in count units, using the receiver's gains
-    predicted = receiver_gains(m) * ens.patterns.sums(pixels)
-    residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
+    # residual in count units, using the receiver's gains; np.sum, unlike
+    # np.linalg.norm's BLAS dot, adds in an order no thread count changes
+    error = m.bucket - receiver_gains(m) * ens.patterns.sums(pixels)
+    residual = math.sqrt(np.sum(error * error)) / math.sqrt(m.channel.es)
 
     diag = DecodeDiagnostics(
         iterations_run=iteration,
@@ -408,21 +413,21 @@ class _ParityGroup:
 
 
 def decode_gf2_bp(
-    llrs: np.ndarray, h: ParityCheckMatrix, max_iters: int = BpOptions.max_iters
+    llrs: np.ndarray, h: ParityCheckMatrix, opts: BpOptions | None = None
 ) -> DecodeResult:
     """Sum-product over GF(2) with the tanh rule; LLR = log p(0)/p(1).
 
-    Stops after `max_iters` iterations, or once the hard-decision word has
-    zero syndrome (an XOR-reduce over each group's (d, B) index layout);
-    the first K bits of the hard decision are the pixels. Once the
+    Stops after `opts.max_iters` iterations, the one setting it reads, or
+    once the hard-decision word has zero syndrome (an XOR-reduce over each
+    group's (d, B) index layout); the first K bits of the hard decision are
+    the pixels. Once the
     check->variable messages repeat exactly (see `_CycleWatch`), every
     phase of the repeat has already failed the syndrome test, which reads
     only the current word, so it stops there, not converged. Products and
     sums run in the order of a loop over (B, d) groups with `np.cumprod`,
     so results match that loop to the bit.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    opts = opts or BpOptions()
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.shape != (h.n_total,):
         raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
@@ -435,7 +440,7 @@ def decode_gf2_bp(
     hard = total < 0.0
     converged = False
     watch = _CycleWatch(0)
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, opts.max_iters + 1):
         for check in checks:
             check.update(total)
         total = _totals(llrs, groups, beliefs, h.n_total)

@@ -344,7 +344,7 @@ def _decode_gf2(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) -> DecodeRe
     meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
     # on-off symbols are counts 0 and 1: the LLR log p0/p1 is their difference
     loglik = count_loglik(meas, (0, 1))
-    return decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.max_iters)
+    return decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.bp_options())
 
 
 # decoder_mode -> row: acquire one scene with code g over channel ch, decode it.

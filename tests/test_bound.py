@@ -8,6 +8,7 @@ import pytest
 
 from codedgi import (
     BoundParams,
+    ChannelParams,
     DegreeDistribution,
     avg_column_hit_prob,
     ber_lower_bound,
@@ -180,6 +181,29 @@ class TestBerLowerBound:
         for snr_db in (-10, 0, 10, 30):
             p = params(n0=10 ** (-snr_db / 10))
             assert 0.0 <= ber_lower_bound(p) <= 1.0
+
+    @pytest.mark.parametrize(
+        "k,n,terms",
+        [
+            (256, 512, ((1, 0.2), (3, 0.5), (8, 0.3))),
+            (8192, 16384, ((8, 1.0),)),  # N-K = 8192
+        ],
+    )
+    def test_sweep_rows_are_the_single_snr_terms_bit_for_bit(self, k, n, terms):
+        dist = DegreeDistribution(terms)
+        snrs = (-3.0, 0.0, 6.5, 14.0)
+        for snr_db, row in zip(snrs, bound_sweep(k, n, dist, snrs, es=0.5)):
+            p = BoundParams(k, n, dist, es=0.5, n0=ChannelParams.at_snr_db(snr_db, 0.5).n0)
+            expect = {
+                "snr_db": snr_db,
+                "gamma": p.gamma,
+                "p_ray": rayleigh_ber(p.gamma),
+                "p_e": decoding_error_term(p),
+                "p_b": ber_lower_bound(p),
+            }
+            assert {key: v.hex() for key, v in row.items()} == {
+                key: v.hex() for key, v in expect.items()
+            }
 
     def test_sweep_rows(self):
         rows = bound_sweep(64, 128, DegreeDistribution.regular(4), [0.0, 10.0])

@@ -69,7 +69,9 @@ def plain_sum_bp(m, ens, opts):
     converged = False
 
     for iteration in range(1, opts.max_iters + 1):
-        m2p = [plan(p) for plan, p in zip(plans, p2m)]
+        for plan, p in zip(plans, p2m):
+            plan.p[...] = p.T
+        m2p = [plan().T for plan in plans]
         total = _totals(prior, groups, m2p, k)
         marginals = _sigmoid(total)
         new_hard = marginals > 0.5
@@ -91,13 +93,13 @@ def plain_sum_bp(m, ens, opts):
             p2m[i] = np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR)
 
     pixels = hard.astype(np.uint8)
-    predicted = receiver_gains(m) * ens.patterns.sums(pixels)
-    residual = float(np.linalg.norm(m.bucket - predicted) / math.sqrt(m.channel.es))
+    error = m.bucket - receiver_gains(m) * ens.patterns.sums(pixels)
+    residual = math.sqrt(np.sum(error * error)) / math.sqrt(m.channel.es)
     diag = DecodeDiagnostics(iterations, converged, residual, unpinned)
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
 
-def plain_gf2_bp(llrs, h, max_iters):
+def plain_gf2_bp(llrs, h, opts):
     """decode_gf2_bp computing every iteration up to max_iters or a zero syndrome."""
     llrs = np.asarray(llrs, dtype=np.float64)
     groups = h.rows.groups
@@ -106,7 +108,7 @@ def plain_gf2_bp(llrs, h, max_iters):
     hard = total < 0.0
     iterations = 0
     converged = False
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, opts.max_iters + 1):
         for i, (_, vr) in enumerate(groups):
             t = np.tanh((total[vr] - c2v[i]) / 2.0)
             prefix = np.ones_like(t)
@@ -164,11 +166,11 @@ def compare_sum_bp(m, ens, opts):
     return check_against(decode_sum_bp(m, ens, opts), opts.max_iters, run_to)
 
 
-def compare_gf2_bp(llrs, h, max_iters):
+def compare_gf2_bp(llrs, h, opts):
     def run_to(n):
-        return plain_gf2_bp(llrs, h, n)
+        return plain_gf2_bp(llrs, h, replace(opts, max_iters=n))
 
-    return check_against(decode_gf2_bp(llrs, h, max_iters), max_iters, run_to)
+    return check_against(decode_gf2_bp(llrs, h, opts), opts.max_iters, run_to)
 
 
 # the four workload configs of bench/workloads.py, as RunConfig overrides
@@ -266,7 +268,7 @@ def test_iterations_run_counts_the_variable_passes(monkeypatch):
         calls.clear()
     for period in range(1, 31):
         llrs, h = ring_code(period, frustrated=False)
-        diag = decode_gf2_bp(llrs, h, 4 * period + 31).diagnostics
+        diag = decode_gf2_bp(llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
         assert len(calls) == diag.iterations_run
         calls.clear()
 
@@ -342,7 +344,7 @@ def test_gf2_cycles_of_each_period_match_plain_loop(period):
         # one result: the decode ends where the cycle is certified
         first = None
         for max_iters in sorted({4 * period + 30 + r for r in (0, 1, period - 1)}):
-            res = compare_gf2_bp(llrs, h, max_iters)
+            res = compare_gf2_bp(llrs, h, BpOptions(max_iters=max_iters))
             assert res.diagnostics.cycle_period == period
             assert stopped_on_cycle(res.diagnostics, max_iters)
             first = first or res
@@ -360,8 +362,8 @@ def test_gf2_random_decodes_match_plain_loop():
         rows = [np.sort(rng.choice(n, d, replace=False)) for _ in range(int(rng.integers(2, n)))]
         h = ParityCheckMatrix(0, n, SparseRows.of(rows))
         llrs = rng.normal(0.0, float(rng.choice([0.5, 2.0, 8.0])), n)
-        max_iters = int(rng.integers(1, 120))
-        stopped += stopped_on_cycle(compare_gf2_bp(llrs, h, max_iters).diagnostics, max_iters)
+        opts = BpOptions(max_iters=int(rng.integers(1, 120)))
+        stopped += stopped_on_cycle(compare_gf2_bp(llrs, h, opts).diagnostics, opts.max_iters)
     assert stopped >= 20
 
 
@@ -386,7 +388,7 @@ def test_gf2_mixed_degree_decodes_match_plain_loop():
         ):
             degrees |= {vr.shape[1] for _, vr in h.rows.groups}
             max_iters = int(rng.integers(1, 60))
-            d = compare_gf2_bp(llrs, h, max_iters).diagnostics
+            d = compare_gf2_bp(llrs, h, BpOptions(max_iters=max_iters)).diagnostics
             outcomes.add((d.converged, stopped_on_cycle(d, max_iters)))
     assert {1, 2, 4, 9} <= degrees
     assert len(outcomes) == 3  # converged, stopped on a cycle, ran to max_iters
@@ -397,7 +399,7 @@ def test_gf2_paper_scale_decode_matches_plain_loop():
     g = build_generator(CodeSpec(1024, 2048, DegreeDistribution.regular(128), 3))
     h = derive_parity_check(g)
     llrs = noisy_word_llrs(g, np.random.default_rng(3), 8.0)
-    d = compare_gf2_bp(llrs, h, 8).diagnostics
+    d = compare_gf2_bp(llrs, h, BpOptions(max_iters=8)).diagnostics
     assert (d.iterations_run, d.converged) == (6, True)
 
 

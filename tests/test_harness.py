@@ -459,6 +459,23 @@ class TestManifestReplay:
             "0.234375", "0.265625", "0.296875", "0.34375",
         ]
 
+    def test_rng_wiring_frozen_at_paper_scale(self, tmp_path):
+        """Per-trial outcomes at the paper-v shape (32x32, N = 2048, degree 128).
+
+        The only frozen decodes whose checks run the 7-level segment tree.
+        """
+        cfg = tiny_cfg(
+            out=str(tmp_path / "pv"), width=32, height=32, degree=128, prior=0.16,
+            csi_known=True, snr_db_list=(10.0, 14.0), damping=0.0, max_iters=50,
+        )
+        run_dir = run_experiment(cfg)
+        diag = Path(run_dir, "decode_diagnostics.csv").read_text().splitlines()
+        assert [tuple(l.split(",")[2:4]) for l in diag[2:]] == [
+            ("8", "0"), ("8", "0"), ("5", "1"), ("11", "1"),
+        ]
+        sweep = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
+        assert [l.split(",")[1] for l in sweep[2:]] == ["0.0703125", "0.0"]
+
     def test_manifest_lists_all_seeds(self, tmp_path):
         cfg = tiny_cfg(out=str(tmp_path / "m2"))
         run_dir = run_experiment(cfg)
