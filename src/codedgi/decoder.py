@@ -1,59 +1,60 @@
 """Belief-propagation reconstruction from bucket measurements.
 
-Both decoders run the same sum-product core on a bipartite graph: the checks
-are the rows of a `codes.SparseRows` (the patterns, or the rows of H), batched
-by degree with its `.groups` layout. That layout is built once per matrix, so
-decode_sum_bp reuses the one `sense` built. Each group keeps its messages
-once, in its `_CheckPlan` or `_ParityGroup`; every variable pass sums its
-incoming logits with `_totals`. Both decoders take a `BpOptions`. The
-residual of decode_sum_bp is a row sum, `SparseRows.sums`.
+Both decoders run sum-product on a bipartite graph whose checks are the rows
+of a `codes.SparseRows` (the patterns, or the rows of H), batched by degree
+with its `.groups` layout. That layout is built once per matrix, so
+decode_sum_bp reuses the one `sense` built. Only the check and variable
+functions differ: each group is a `_CheckPlan` or `_ParityGroup` that owns
+(d, B) `cols` and `msg` buffers, whose call is the check pass and whose
+`variable_pass(total)` is the variable pass, and `_flood` is the one
+schedule that runs them. Each decoder keeps its set-up, stop rule and result.
+Both take a `BpOptions`. The residual of decode_sum_bp is a row sum,
+`SparseRows.sums`.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
   channel, so each check-to-pixel message mixes the Poisson-binomial pmf of
   the other neighbors' count with the per-count likelihoods, which are
-  `forward.count_loglik`'s: the receiver model is written only there. All
-  d leave-one-out sums of a check come from one segment tree over its
-  edges, padded to d' = 2**ceil(log2 d) leaves with p = 0 (a neighbor that
-  is never lit, so the padding is exact). The up pass
-  convolves sibling count pmfs level by level; the down pass correlates each
-  parent's expected-likelihood table with the sibling pmf to get each
-  child's table. That is O(d^2) work per check per iteration in O(log d)
-  numpy calls. Each group of B checks of degree d runs on a `_CheckPlan`:
-  its buffers, zero padding and einsum views are built once, so a pass
-  only fills the leaves and runs the einsums into them. A per-thread cache
-  keyed by (B, d) holds the plans of the latest decode and drops every
-  other shape, so later iterations and trials of one shape build nothing.
-  What stays resident between decodes is the sum of the plans of every
-  (B, d) shape of the latest decode: about 21 MB at the paper scale (one
-  shape, B = 1024, d = 128), and 17.5 MB for the 47 pattern sizes of
-  random_speckle(256, 512, 0.5, seed=3). A degree-1 check has
-  no other neighbor, so its message never changes; it joins the prior
-  once. Pixel->measurement messages are probabilities of one, since
-  the count pmf and the damping need them; measurement->pixel messages are
-  logits, log p1/p0. Both are clamped to [1e-12, 1-1e-12] (in probability)
-  to avoid zero-lock.
+  `forward.count_loglik`'s: the receiver model is written only there. All d
+  leave-one-out sums of a check come from one segment tree over its edges,
+  padded to d' = 2**ceil(log2 d) leaves with p = 0 (a neighbor that is never
+  lit, so the padding is exact). The up pass convolves sibling count pmfs
+  level by level; the down pass correlates each parent's expected-likelihood
+  table with the sibling pmf to get each child's table. That is O(d^2) work
+  per check per iteration in O(log d) numpy calls. Each group of B checks of
+  degree d runs on a `_CheckPlan`: its buffers, zero padding and einsum views
+  are built once, so a pass only fills the leaves and runs the einsums into
+  them. A per-thread cache keyed by (B, d) holds the plans of the latest
+  decode and drops every other shape, so later iterations and trials of one
+  shape build nothing. What stays resident between decodes is the sum of the
+  plans of every (B, d) shape of the latest decode: about 23 MB at the paper
+  scale (one shape, B = 1024, d = 128), and 18.6 MB for the 47 pattern sizes
+  of random_speckle(256, 512, 0.5, seed=3). A degree-1 check has no other
+  neighbor, so its message never changes; it joins the prior once.
+  Pixel->measurement messages, the state kept in each plan's `p`, are
+  probabilities of one, since the count pmf and the damping need them;
+  measurement->pixel messages are logits, log p1/p0. Both are clamped to
+  [1e-12, 1-1e-12] (in probability) to avoid zero-lock.
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
   for the binary-symbol channel view of the same system. Its messages are
   LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
   `forward.count_loglik`. Each group of B checks of degree d is a
-  `_ParityGroup`, which keeps its messages check-major, in (d, B) arrays
-  built once per decode, and tests its checks' syndrome as an XOR-reduce
-  over the same index layout. `_totals` reads the messages through (B, d)
-  views, so every belief adds in the order of the (B, d) groups.
+  `_ParityGroup`, built once per decode, whose state is its `msg`, the
+  check->variable LLRs. It tests its checks' syndrome as an XOR-reduce over
+  its `cols`.
 
 Each decoder is one row of `harness._DECODERS`, which acquires the scene
 and calls it; the tests' exhaustive oracles score scenes with the same
 `count_loglik`, so no second copy of the receiver model lives here.
 
-Undamped loopy BP often settles into an exact cycle of message states. Both
-decoders hand their full message state to one `_CycleWatch` each iteration;
-once it has found a repeat of period p and proved that the stop rule can no
-longer fire, the decoder stops there, not converged, and returns the
-iterate it computed last. Its result therefore never depends on max_iters
-beyond that point, and `DecodeDiagnostics.iterations_run` is always the
-number of iterations computed.
+Undamped loopy BP often settles into an exact cycle of message states. Each
+decoder hands the buffers of its message state to one `_CycleWatch`, which
+`_flood` asks after every failed stop test; once it has found a repeat of
+period p and proved that the stop rule can no longer fire, the decode stops
+there, not converged, and returns the iterate it computed last. Its result
+therefore never depends on max_iters beyond that point, and
+`DecodeDiagnostics.iterations_run` is always the number of iterations computed.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ class DecodeDiagnostics:
 
     `iterations_run` is the number of iterations computed; the result is the
     last one's. `cycle_period` is the period of an exact repeat of the
-    message state, 0 when none was found. A decode that is not converged and
-    stopped before max_iters ended on a certified limit cycle.
+    message state found before the last iteration, 0 when none was. A decode
+    that is not converged and stopped before max_iters ended on a certified
+    limit cycle.
     """
 
     iterations_run: int
@@ -146,10 +148,12 @@ def _likelihoods(m: Measurement, ids: np.ndarray, degree: int) -> np.ndarray:
     return np.exp(logf - np.where(np.isfinite(top), top, 0.0)).T
 
 
-def _edge_logits(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Logits m1 / (m0 + m1), in the tables' (d, B) shape; 0.5 where both are 0."""
+def _edge_logits(m0: np.ndarray, m1: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logits m1 / (m0 + m1) in the tables' shape, into `out` if given; 0.5 where both are 0."""
     denom = m0 + m1
-    msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
+    msg = np.empty_like(m1) if out is None else out
+    msg.fill(0.5)
+    np.divide(m1, denom, out=msg, where=denom > 0)
     np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR, out=msg)
     # log p - log1p(-p), in place: denom holds log1p(-p)
     np.log1p(np.negative(msg, out=denom), out=denom)
@@ -181,7 +185,9 @@ class _CheckPlan:
     the padding leaves, the zero borders the convolutions slide over, and
     the window and sibling views each einsum reads and writes. Leaf row 1
     is `p`, the decode's one copy of the (d, B) pixel->measurement
-    probabilities: set to the prior, then overwritten by each pixel pass.
+    probabilities: set to the prior, then overwritten by each variable pass.
+    `cols` holds each edge's pixel, copied in on each decode, and `msg` the
+    logits each call writes.
     Below the top level, node n of the level with s + 1 counts sits at row
     s + n (2s + 1) of its level's buffer: every node has s zero rows on
     each side, so an even node's padded pmf is a plain view. The down pass
@@ -223,18 +229,27 @@ class _CheckPlan:
         self._leaves[d:, 0] = 1.0
         self.p = self._leaves[:d, 1]
         self._m = gamma[:d, 0], gamma[:d, 1]
+        self.cols, self.msg = np.zeros((d, b), dtype=np.intp), np.zeros((d, b))
+        self.damping = 0.0
 
     def set_likelihoods(self, m: Measurement, ids: np.ndarray) -> None:
         self.lik[: self.d + 1] = _likelihoods(m, ids, self.d)
 
     def __call__(self) -> np.ndarray:
-        """(d, B) measurement->pixel logits from the probabilities in `p`."""
+        """The check pass: (d, B) measurement->pixel logits in `msg`, from `p`."""
         np.subtract(1.0, self.p, out=self._leaves[: self.d, 0])
         for windows, odds, out in self._up:
             np.einsum("nkbj,njb->nkb", windows, odds, out=out)
         for windows, sibling, out in self._down:
             np.einsum("nubv,ncvb->ncub", windows, sibling, out=out)
-        return _edge_logits(*self._m)
+        return _edge_logits(*self._m, out=self.msg)
+
+    def variable_pass(self, total: np.ndarray) -> None:
+        """Each edge's pixel total less its own message, as a probability, damped into `p`."""
+        outgoing = _sigmoid(total[self.cols] - self.msg)
+        if self.damping > 0:
+            outgoing = (1.0 - self.damping) * outgoing + self.damping * self.p
+        np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR, out=self.p)
 
 
 _plans = threading.local()
@@ -256,9 +271,10 @@ def _check_plans(shapes: list[tuple[int, int]]) -> list[_CheckPlan]:
 class _CycleWatch:
     """Finds an exact repeat of a decoder's message state and says when to stop.
 
-    `ends(i, state)` takes the full message state that iteration i's result
-    (hard decisions, marginals) is computed from. It keeps a copy of the
-    state seen at i = 1, 2, 4, 8, ... and compares each later state with the
+    `state` is the list of buffers that hold the decoder's full message
+    state; `ends(i)` reads them when iteration i's result (hard decisions,
+    marginals) has been computed from them. It keeps a copy of the state
+    seen at i = 1, 2, 4, 8, ... and compares each later state with the
     copy by `np.array_equal` (Brent's cycle detection, BIT 1980). If the
     state at t equals the one kept at c < t, iteration is a deterministic
     map of that state, so the states, and with them the results, repeat
@@ -276,32 +292,50 @@ class _CycleWatch:
     before the cycle is certified: the decode still converges.
     """
 
-    def __init__(self, memory: int):
-        self.memory = memory
+    def __init__(self, memory: int, state: list[np.ndarray]):
+        self.memory, self.state = memory, state
         self.kept, self.kept_at, self.period = None, 0, 0
 
-    def ends(self, i: int, state: list[np.ndarray]) -> bool:
+    def ends(self, i: int) -> bool:
         """Whether the stop rule, having failed at iteration i, can never fire again."""
         if not self.period:
-            if self.kept is not None and all(map(np.array_equal, state, self.kept)):
+            if self.kept is not None and all(map(np.array_equal, self.state, self.kept)):
                 self.period = i - self.kept_at
             elif i & (i - 1) == 0:
-                self.kept, self.kept_at = [s.copy() for s in state], i
+                self.kept, self.kept_at = [s.copy() for s in self.state], i
         return self.period > 0 and i >= self.kept_at + self.memory + self.period - 1
+
+
+def _flood(checks, prior, groups, n: int, max_iters: int, watch: _CycleWatch):
+    """The flooding schedule of both decoders: yields each iteration's beliefs.
+
+    `checks` are the groups of `groups`, in its order, their first variable
+    pass already run. Each iteration runs every check pass and yields the
+    `_totals` of `prior` and every `msg` to the caller's stop rule; a caller
+    whose rule fires does not resume. The schedule then ends at max_iters or
+    once `watch` certifies that the rule can never fire, so no variable pass
+    follows the last iteration; otherwise it runs every variable pass.
+    """
+    beliefs = [check.msg.T for check in checks]  # (B, d) views: _totals adds in edge order
+    for iteration in range(1, max_iters + 1):
+        for check in checks:
+            check()
+        total = _totals(prior, groups, beliefs, n)
+        yield total
+        if iteration == max_iters or watch.ends(iteration):
+            return
+        for check in checks:
+            check.variable_pass(total)
 
 
 def decode_sum_bp(
     m: Measurement, ens: IlluminationEnsemble, opts: BpOptions | None = None
 ) -> DecodeResult:
-    """Flooding-schedule BP over the count-observation factor graph.
+    """Sum-product over the count-observation factor graph, on `_flood`.
 
-    Pixel->measurement messages start at the prior; each iteration runs all
-    check updates, then recomputes marginals and hard decisions, then (if
-    another iteration follows) all pixel updates. Terminates when the hard
-    decisions are unchanged for stall_window consecutive iterations, or at
-    max_iters. Once the pixel->measurement messages repeat exactly (see
-    `_CycleWatch`), it also stops, not converged, at the first iteration
-    where the stall rule is certified never to fire.
+    Pixel->measurement messages start at the prior. The stop rule: the hard
+    decisions are unchanged for stall_window consecutive iterations. Its
+    `_CycleWatch` watches each plan's `p`.
     """
     opts = opts or BpOptions()
     if len(ens.patterns) != m.n_shots:
@@ -318,37 +352,23 @@ def decode_sum_bp(
     fixed = [_edge_logits(*_likelihoods(m, ids, 1)) for ids, _ in singles]
     prior = _totals(prior_logit, singles, fixed, k)
     plans = _check_plans([px.shape for _, px in groups])
-    for plan, (ids, _) in zip(plans, groups):
+    for plan, (ids, px) in zip(plans, groups):
         plan.set_likelihoods(m, ids)
+        plan.cols[...] = px.T
         plan.p[...] = opts.prior
+        plan.damping = opts.damping
 
-    marginals = np.full(k, opts.prior)
-    hard = marginals > 0.5
+    hard = np.full(k, opts.prior > 0.5)
     stable = 0
-    converged = False
-    watch = _CycleWatch(opts.stall_window)
-
-    for iteration in range(1, opts.max_iters + 1):
-        m2p = [plan() for plan in plans]
-        total = _totals(prior, groups, [msg.T for msg in m2p], k)
+    watch = _CycleWatch(opts.stall_window, [plan.p for plan in plans])
+    for iteration, total in enumerate(_flood(plans, prior, groups, k, opts.max_iters, watch), 1):
         marginals = _sigmoid(total)
         new_hard = marginals > 0.5
-        if np.array_equal(new_hard, hard):
-            stable += 1
-        else:
-            stable = 0
+        stable = stable + 1 if np.array_equal(new_hard, hard) else 0
         hard = new_hard
-        if stable >= opts.stall_window:
-            converged = True
+        converged = stable >= opts.stall_window
+        if converged:
             break
-        if iteration == opts.max_iters or watch.ends(iteration, [plan.p for plan in plans]):
-            break
-        # pixel pass: sum incoming logits once, subtract own edge per message
-        for plan, msg, (_, px) in zip(plans, m2p, groups):
-            outgoing = _sigmoid(total[px.T] - msg)
-            if opts.damping > 0:
-                outgoing = (1.0 - opts.damping) * outgoing + opts.damping * plan.p
-            np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR, out=plan.p)
 
     pixels = hard.astype(np.uint8)
     # residual in count units, using the receiver's gains; np.sum, unlike
@@ -356,13 +376,7 @@ def decode_sum_bp(
     error = m.bucket - receiver_gains(m) * ens.patterns.sums(pixels)
     residual = math.sqrt(np.sum(error * error)) / math.sqrt(m.channel.es)
 
-    diag = DecodeDiagnostics(
-        iterations_run=iteration,
-        converged=converged,
-        residual=residual,
-        unpinned_pixel_count=unpinned,
-        cycle_period=watch.period,
-    )
+    diag = DecodeDiagnostics(iteration, converged, residual, unpinned, watch.period)
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
 
@@ -391,13 +405,16 @@ class _ParityGroup:
         ]
         self._ends = runs[:, 0], runs[::-1, 1]  # prefix_j and suffix_j at row j
 
-    def update(self, total: np.ndarray) -> None:
-        """Replace `msg` with the messages computed from the variable totals `total`."""
+    def variable_pass(self, total: np.ndarray) -> None:
+        """The factors tanh((total - msg) / 2) of every edge, into both halves of `_t`."""
         x = self._t[: len(self.msg)]
         np.subtract(total[self.cols], self.msg, out=x)
         x *= 0.5  # exactly x / 2.0
         np.tanh(x, out=x)
         self._t[len(x) :] = x
+
+    def __call__(self) -> None:
+        """The check pass: the check->variable LLRs into `msg`, from the factors in `_t`."""
         for prev, factor, run in self._steps:
             np.multiply(prev, factor, out=run)
         msg = np.multiply(*self._ends, out=self.msg)
@@ -415,17 +432,14 @@ class _ParityGroup:
 def decode_gf2_bp(
     llrs: np.ndarray, h: ParityCheckMatrix, opts: BpOptions | None = None
 ) -> DecodeResult:
-    """Sum-product over GF(2) with the tanh rule; LLR = log p(0)/p(1).
+    """Sum-product over GF(2) with the tanh rule, on `_flood`; LLR = log p(0)/p(1).
 
-    Stops after `opts.max_iters` iterations, the one setting it reads, or
-    once the hard-decision word has zero syndrome (an XOR-reduce over each
-    group's (d, B) index layout); the first K bits of the hard decision are
-    the pixels. Once the
-    check->variable messages repeat exactly (see `_CycleWatch`), every
-    phase of the repeat has already failed the syndrome test, which reads
-    only the current word, so it stops there, not converged. Products and
-    sums run in the order of a loop over (B, d) groups with `np.cumprod`,
-    so results match that loop to the bit.
+    Reads `opts.max_iters` only. The stop rule: the hard-decision word has
+    zero syndrome, an XOR-reduce over each group's (d, B) index layout. Its
+    `_CycleWatch` watches each group's `msg`. The first K bits of the hard
+    decision are the pixels. Products and sums run in the order of a loop
+    over (B, d) groups with `np.cumprod`, so results match that loop to the
+    bit.
     """
     opts = opts or BpOptions()
     llrs = np.asarray(llrs, dtype=np.float64)
@@ -434,32 +448,15 @@ def decode_gf2_bp(
 
     groups = h.rows.groups
     checks = [_ParityGroup(vr) for _, vr in groups]
-    c2v = [check.msg for check in checks]
-    beliefs = [msg.T for msg in c2v]  # (B, d) views: _totals adds in row-major edge order
-    total = llrs.copy()
-    hard = total < 0.0
-    converged = False
-    watch = _CycleWatch(0)
-    for iteration in range(1, opts.max_iters + 1):
-        for check in checks:
-            check.update(total)
-        total = _totals(llrs, groups, beliefs, h.n_total)
+    for check in checks:
+        check.variable_pass(llrs)  # from the channel alone: every msg is still 0
+    watch = _CycleWatch(0, [check.msg for check in checks])
+    flood = _flood(checks, llrs, groups, h.n_total, opts.max_iters, watch)
+    for iteration, total in enumerate(flood, 1):
         hard = total < 0.0
-        if all(check.satisfied(hard) for check in checks):
-            converged = True
-            break
-        if watch.ends(iteration, c2v):
+        converged = all(check.satisfied(hard) for check in checks)
+        if converged:
             break
 
-    diag = DecodeDiagnostics(
-        iterations_run=iteration,
-        converged=converged,
-        residual=math.nan,
-        unpinned_pixel_count=0,
-        cycle_period=watch.period,
-    )
-    return DecodeResult(
-        pixels=hard[: h.k_info].astype(np.uint8),
-        marginals=_sigmoid(-total),
-        diagnostics=diag,
-    )
+    diag = DecodeDiagnostics(iteration, converged, math.nan, 0, watch.period)
+    return DecodeResult(hard[: h.k_info].astype(np.uint8), _sigmoid(-total), diag)

@@ -49,7 +49,7 @@ class SceneImage:
             raise ValueError(
                 f"reflectance length {self.reflectance.shape} != width*height"
             )
-        if self.reflectance.min() < 0 or self.reflectance.max() > 1:
+        if not (self.reflectance.min() >= 0 and self.reflectance.max() <= 1):  # also rejects NaN
             raise ValueError("reflectance values must lie in [0, 1]")
 
     @property

@@ -16,7 +16,7 @@ def write_pgm(path, width: int, height: int, values01: np.ndarray) -> None:
     v = np.asarray(values01, dtype=np.float64)
     if v.shape != (width * height,):
         raise ValueError("values length must equal width*height")
-    if v.min() < 0 or v.max() > 1:
+    if not (v.min() >= 0 and v.max() <= 1):  # also rejects NaN
         raise ValueError("values must lie in [0, 1] before saving")
     gray = np.rint(v * MAXVAL).astype(np.uint8)
     with open(path, "wb") as fh:

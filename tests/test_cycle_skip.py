@@ -256,21 +256,38 @@ def test_desk_results_do_not_depend_on_max_iters_parity():
 
 def test_iterations_run_counts_the_variable_passes(monkeypatch):
     # bench/tracing.py reads iterations_run as the work a decode did, and
-    # each iteration sums the variables' incoming messages once, in _totals
+    # each iteration sums the variables' incoming messages once, in _totals;
+    # each group runs one variable pass between two iterations, and none
+    # after the last
     calls = []
     real = decoder._totals
     monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
+    passes = {}
+    for group in (decoder._CheckPlan, decoder._ParityGroup):
+        real_pass = group.variable_pass
+
+        def counted(self, total, real_pass=real_pass):
+            passes[id(self)] = passes.get(id(self), 0) + 1
+            return real_pass(self, total)
+
+        monkeypatch.setattr(group, "variable_pass", counted)
     for seed in range(10):
         m, ens = desk_case(seed)
         diag = decode_sum_bp(m, ens).diagnostics
         # one pass per iteration, after the one that folds degree-1 checks in
         assert len(calls) == diag.iterations_run + 1
+        plans = decoder._plans.by_shape.values()
+        assert [passes.get(id(plan), 0) for plan in plans] == [diag.iterations_run - 1] * len(plans)
         calls.clear()
+        passes.clear()
     for period in range(1, 31):
         llrs, h = ring_code(period, frustrated=False)
         diag = decode_gf2_bp(llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
         assert len(calls) == diag.iterations_run
+        # the first variable pass is from the channel LLRs, before iteration 1
+        assert list(passes.values()) == [diag.iterations_run] * len(h.rows.groups)
         calls.clear()
+        passes.clear()
 
 
 def random_case(seed):

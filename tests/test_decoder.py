@@ -7,11 +7,13 @@ the spec'd end-to-end recovery cases. The planned check update must also
 match, bit for bit, the one-shot formulation kept here as its reference.
 """
 
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -479,6 +481,22 @@ class TestCheckPlans:
         fast = decode_sum_bp(m, ens, opts).marginals
         np.testing.assert_allclose(fast, reference_sum_bp(m, ens, opts), atol=1e-12)
         assert set(decoder._plans.by_shape) == check_shapes(ens)
+
+    def test_cached_plans_hold_no_decode_input(self):
+        # the plans outlive the decode in the cache; a plan that kept a view
+        # of the patterns or the bucket would keep them alive with it
+        ens = patterns_from_generator(
+            build_generator(CodeSpec(36, 72, parse_distribution("3:0.5,5:0.5"), seed=3))
+        )
+        scene = SceneImage(6, 6, np.random.default_rng(3).integers(0, 2, 36).astype(float))
+        m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=4)
+        decode_sum_bp(m, ens, BpOptions(max_iters=5, damping=0.3))
+        assert set(decoder._plans.by_shape) == check_shapes(ens)
+        inputs = [arr for group in ens.patterns.groups for arr in group] + [m.bucket]
+        refs = [weakref.ref(arr) for arr in inputs]
+        del ens, m, inputs
+        gc.collect()
+        assert [i for i, ref in enumerate(refs) if ref() is not None] == []
 
     def test_plans_built_once_per_shape(self, monkeypatch):
         built = []

@@ -189,6 +189,13 @@ class TestSense:
         assert pattern_sums(ens, flat_scene([0.25, 1.0, 0.5]))[0] == 0.75
 
 
+class TestSceneImage:
+    def test_rejects_nan_reflectance(self):
+        # NaN fails both `< 0` and `> 1`, and would only be caught at sensing
+        with pytest.raises(ValueError, match="reflectance values"):
+            SceneImage(2, 1, [math.nan, 1.0])
+
+
 class TestMeasurement:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_bucket(self, bad):

@@ -87,6 +87,13 @@ class TestPgm:
         with pytest.raises(ValueError):
             write_pgm(tmp_path / "x.pgm", 2, 1, np.array([0.5, 1.5]))
 
+    def test_nan_write_rejected(self, tmp_path):
+        # NaN fails both `< 0` and `> 1`; cast to uint8 it would write an arbitrary byte
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            write_pgm(path, 2, 1, np.array([np.nan, 1.0]))
+        assert not path.exists()
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n\x00\x01")
