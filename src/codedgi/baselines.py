@@ -45,10 +45,7 @@ class Reconstruction:
 
 
 def _check_lengths(ens: IlluminationEnsemble, m: Measurement) -> None:
-    if len(ens.patterns) != m.n_shots:
-        raise ValueError(
-            f"ensemble has {len(ens.patterns)} patterns, measurement {m.n_shots}"
-        )
+    ens.require_shots(m)
     if len(ens.patterns) == 0:
         raise ValueError("empty ensemble")
 

@@ -4,12 +4,20 @@ Both decoders run sum-product on a bipartite graph whose checks are the rows
 of a `codes.SparseRows` (the patterns, or the rows of H), batched by degree
 with its `.groups` layout. That layout is built once per matrix, so
 decode_sum_bp reuses the one `sense` built. Only the check and variable
-functions differ: each group is a `_CheckPlan` or `_ParityGroup` that owns
-(d, B) `cols` and `msg` buffers, whose call is the check pass and whose
-`variable_pass(total)` is the variable pass, and `_flood` is the one
-schedule that runs them. Each decoder keeps its set-up, stop rule and result.
-Both take a `BpOptions`. The residual of decode_sum_bp is a row sum,
-`SparseRows.sums`.
+functions differ: each group is a `_CheckPlan` or `_ParityGroup`, built
+from its shape (B, d), that owns (d, B) `cols` and `msg` buffers, whose
+call is the check pass and whose `variable_pass(total)` is the variable
+pass, and `_flood` is the one schedule that runs them. Each decoder keeps
+its set-up, stop rule and result. Both take a `BpOptions`, and both pass
+check->variable messages as logits, log p1/p0. The residual of
+decode_sum_bp is a row sum, `SparseRows.sums`.
+
+One per-thread cache, `_groups`, holds the groups of the latest decode,
+whichever decoder ran it, so later iterations and trials of one shape
+build nothing. What stays resident between decodes is that decode's
+groups: at the paper scale (one shape, B = 1024, d = 128) about 23 MB of
+sum-BP plans or 6.4 MB of GF(2) groups, and 18.6 MB of plans for the 47
+pattern sizes of random_speckle(256, 512, 0.5, seed=3).
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
@@ -24,25 +32,18 @@ Both take a `BpOptions`. The residual of decode_sum_bp is a row sum,
   per check per iteration in O(log d) numpy calls. Each group of B checks of
   degree d runs on a `_CheckPlan`: its buffers, zero padding and einsum views
   are built once, so a pass only fills the leaves and runs the einsums into
-  them. A per-thread cache keyed by (B, d) holds the plans of the latest
-  decode and drops every other shape, so later iterations and trials of one
-  shape build nothing. What stays resident between decodes is the sum of the
-  plans of every (B, d) shape of the latest decode: about 23 MB at the paper
-  scale (one shape, B = 1024, d = 128), and 18.6 MB for the 47 pattern sizes
-  of random_speckle(256, 512, 0.5, seed=3). A degree-1 check has no other
-  neighbor, so its message never changes; it joins the prior once.
-  Pixel->measurement messages, the state kept in each plan's `p`, are
-  probabilities of one, since the count pmf and the damping need them;
-  measurement->pixel messages are logits, log p1/p0. Both are clamped to
+  them. A degree-1 check has no other neighbor, so its message never
+  changes; it joins the prior once. Pixel->measurement messages, the state
+  kept in each plan's `p`, are probabilities of one, since the count pmf
+  and the damping need them. Both directions are clamped to
   [1e-12, 1-1e-12] (in probability) to avoid zero-lock.
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
-  for the binary-symbol channel view of the same system. Its messages are
-  LLRs, log p0/p1; the channel LLRs it takes are count 0 minus count 1 of
-  `forward.count_loglik`. Each group of B checks of degree d is a
-  `_ParityGroup`, built once per decode, whose state is its `msg`, the
-  check->variable LLRs. It tests its checks' syndrome as an XOR-reduce over
-  its `cols`.
+  for the binary-symbol channel view of the same system. The channel
+  logits it takes are count 1 minus count 0 of `forward.count_loglik`.
+  Each group of B checks of degree d is a `_ParityGroup`, whose state is
+  its `msg`, zeroed at the start of each decode. It tests its checks'
+  syndrome as an XOR-reduce over its `cols`.
 
 Each decoder is one row of `harness._DECODERS`, which acquires the scene
 and calls it; the tests' exhaustive oracles score scenes with the same
@@ -252,20 +253,25 @@ class _CheckPlan:
         np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR, out=self.p)
 
 
-_plans = threading.local()
+_cache = threading.local()
 
 
-def _check_plans(shapes: list[tuple[int, int]]) -> list[_CheckPlan]:
-    """One plan per (B, d) shape, reused from this thread's last decode.
+def _groups(cls, index_groups) -> list:
+    """One `cls` per (B, d) index matrix of `index_groups`, its `cols` copied in.
 
-    The cache keeps only the shapes asked for, so plans of a decode with
-    other shapes are dropped before new ones are built.
+    Groups of the same class and shape are reused from this thread's last
+    decode; every other cached group is dropped before new ones are built.
+    `cols` is copied on each decode, so a cached group holds no decode input.
     """
-    cached = getattr(_plans, "by_shape", {})
-    kept = {shape: cached.pop(shape) for shape in shapes if shape in cached}
+    keys = [(cls, *idx.shape) for _, idx in index_groups]
+    cached = getattr(_cache, "groups", {})
+    kept = {key: cached.pop(key) for key in keys if key in cached}
     cached.clear()
-    _plans.by_shape = {shape: kept.get(shape) or _CheckPlan(*shape) for shape in shapes}
-    return list(_plans.by_shape.values())
+    _cache.groups = {key: kept.get(key) or cls(*key[1:]) for key in keys}
+    groups = list(_cache.groups.values())
+    for group, (_, idx) in zip(groups, index_groups):
+        group.cols[...] = idx.T
+    return groups
 
 
 class _CycleWatch:
@@ -338,10 +344,7 @@ def decode_sum_bp(
     `_CycleWatch` watches each plan's `p`.
     """
     opts = opts or BpOptions()
-    if len(ens.patterns) != m.n_shots:
-        raise ValueError(
-            f"ensemble has {len(ens.patterns)} patterns, measurement {m.n_shots}"
-        )
+    ens.require_shots(m)
     k = ens.k_pixels
     unpinned = int((np.bincount(ens.patterns.flat, minlength=k) == 0).sum())
     prior_logit = math.log(opts.prior) - math.log1p(-opts.prior)
@@ -351,10 +354,9 @@ def decode_sum_bp(
     groups = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
     fixed = [_edge_logits(*_likelihoods(m, ids, 1)) for ids, _ in singles]
     prior = _totals(prior_logit, singles, fixed, k)
-    plans = _check_plans([px.shape for _, px in groups])
-    for plan, (ids, px) in zip(plans, groups):
+    plans = _groups(_CheckPlan, groups)
+    for plan, (ids, _) in zip(plans, groups):
         plan.set_likelihoods(m, ids)
-        plan.cols[...] = px.T
         plan.p[...] = opts.prior
         plan.damping = opts.damping
 
@@ -384,20 +386,23 @@ class _ParityGroup:
     """B parity checks of degree d, their messages kept check-major, buffers built once.
 
     Row j of the (d, B) arrays `cols` and `msg` holds the j-th edge of every
-    check: its variable and its check->variable LLR. The tanh rule sends
-    edge j the product of the other d - 1 factors t_i, prefix_j * suffix_j
-    with prefix_j = t_0 * ... * t_(j-1) and suffix_j = t_(d-1) * ... * t_(j+1),
-    each multiplied left to right as `np.cumprod` multiplies. The (2d, B)
-    buffer `_t` holds the factors twice over, so t_(j-1) and t_(d-j) are its
-    rows j-1 and 2d-j, one strided view. Step j multiplies that pair into
-    runs[j] = (prefix_j, suffix_(d-1-j)) from runs[j-1] (runs[0] is 1): one
-    numpy call per step grows both products for all B checks.
+    check: its variable and its check->variable logit. In logits the tanh
+    rule sends edge j 2 (-1)^d atanh(prefix_j * suffix_j), from the other
+    d - 1 factors t_i = tanh(x_i / 2) of the incoming logits x_i: each
+    factor is the negative of its LLR's, hence the sign, which `_sign`
+    folds into the doubling. prefix_j = t_0 * ... * t_(j-1) and
+    suffix_j = t_(d-1) * ... * t_(j+1) are each multiplied left to right
+    as `np.cumprod` multiplies.
+    The (2d, B) buffer `_t` holds the factors twice over, so t_(j-1) and
+    t_(d-j) are its rows j-1 and 2d-j, one strided view. Step j multiplies
+    that pair into runs[j] = (prefix_j, suffix_(d-1-j)) from runs[j-1]
+    (runs[0] is 1): one numpy call per step grows both products for all B
+    checks.
     """
 
-    def __init__(self, vr: np.ndarray):
-        self.cols = np.ascontiguousarray(vr.T)
-        d, b = self.cols.shape
-        self.msg = np.zeros((d, b))
+    def __init__(self, b: int, d: int):
+        self.cols, self.msg = np.zeros((d, b), dtype=np.intp), np.zeros((d, b))
+        self._sign = 2.0 if d % 2 == 0 else -2.0
         self._t = np.empty((2 * d, b))
         runs = np.ones((d, 2, b))
         self._steps = [
@@ -414,7 +419,7 @@ class _ParityGroup:
         self._t[len(x) :] = x
 
     def __call__(self) -> None:
-        """The check pass: the check->variable LLRs into `msg`, from the factors in `_t`."""
+        """The check pass: the check->variable logits into `msg`, from the factors in `_t`."""
         for prev, factor, run in self._steps:
             np.multiply(prev, factor, out=run)
         msg = np.multiply(*self._ends, out=self.msg)
@@ -422,7 +427,7 @@ class _ParityGroup:
         np.maximum(msg, -1 + 1e-15, out=msg)
         np.minimum(msg, 1 - 1e-15, out=msg)
         np.arctanh(msg, out=msg)
-        msg *= 2.0
+        msg *= self._sign
 
     def satisfied(self, hard: np.ndarray) -> bool:
         """Whether the bits of every check XOR to 0 in the hard decisions `hard`."""
@@ -430,9 +435,9 @@ class _ParityGroup:
 
 
 def decode_gf2_bp(
-    llrs: np.ndarray, h: ParityCheckMatrix, opts: BpOptions | None = None
+    logits: np.ndarray, h: ParityCheckMatrix, opts: BpOptions | None = None
 ) -> DecodeResult:
-    """Sum-product over GF(2) with the tanh rule, on `_flood`; LLR = log p(0)/p(1).
+    """Sum-product over GF(2) with the tanh rule, on `_flood`; logit = log p(1)/p(0).
 
     Reads `opts.max_iters` only. The stop rule: the hard-decision word has
     zero syndrome, an XOR-reduce over each group's (d, B) index layout. Its
@@ -442,21 +447,22 @@ def decode_gf2_bp(
     bit.
     """
     opts = opts or BpOptions()
-    llrs = np.asarray(llrs, dtype=np.float64)
-    if llrs.shape != (h.n_total,):
-        raise ValueError(f"llr length {llrs.shape}, expected ({h.n_total},)")
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.shape != (h.n_total,):
+        raise ValueError(f"logit length {logits.shape}, expected ({h.n_total},)")
 
     groups = h.rows.groups
-    checks = [_ParityGroup(vr) for _, vr in groups]
+    checks = _groups(_ParityGroup, groups)
     for check in checks:
-        check.variable_pass(llrs)  # from the channel alone: every msg is still 0
+        check.msg.fill(0.0)  # a cached group holds the last decode's messages
+        check.variable_pass(logits)
     watch = _CycleWatch(0, [check.msg for check in checks])
-    flood = _flood(checks, llrs, groups, h.n_total, opts.max_iters, watch)
+    flood = _flood(checks, logits, groups, h.n_total, opts.max_iters, watch)
     for iteration, total in enumerate(flood, 1):
-        hard = total < 0.0
+        hard = total > 0.0
         converged = all(check.satisfied(hard) for check in checks)
         if converged:
             break
 
     diag = DecodeDiagnostics(iteration, converged, math.nan, 0, watch.period)
-    return DecodeResult(hard[: h.k_info].astype(np.uint8), _sigmoid(-total), diag)
+    return DecodeResult(hard[: h.k_info].astype(np.uint8), _sigmoid(total), diag)

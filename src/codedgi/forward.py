@@ -71,6 +71,13 @@ class IlluminationEnsemble:
     k_pixels: int
     patterns: SparseRows
 
+    def require_shots(self, m: Measurement) -> None:
+        """Raise ValueError unless `m` has one shot per pattern."""
+        if len(self.patterns) != m.n_shots:
+            raise ValueError(
+                f"ensemble has {len(self.patterns)} patterns, measurement {m.n_shots}"
+            )
+
     def dense(self) -> np.ndarray:
         """(N, K) 0/1 matrix, the tests' oracle for the sparse computations."""
         a = np.zeros((len(self.patterns), self.k_pixels), dtype=np.float64)

@@ -165,6 +165,16 @@ class RunConfig:
             self.bp_options()
             for snr_db in (self.snr_db, *self.snr_db_list):
                 ChannelParams.at_snr_db(snr_db, self.es, self.fading, self.csi_known)
+            for key, value in vars(self).items():
+                # to_text writes a string as it is, so the manifest reads it
+                # back only if it is one line with no comment and no blanks to cut
+                if isinstance(value, str) and (
+                    _uncommented(value) != value or len(value.splitlines()) > 1
+                ):
+                    raise ValueError(
+                        f"{key} {value!r} would not read back from the manifest: "
+                        "it must be one line, with no '#' and no blanks at either end"
+                    )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -207,13 +217,18 @@ def parse_distribution(text: str) -> DegreeDistribution:
         raise ConfigError(f"bad degree distribution {text!r}: {exc}") from exc
 
 
+def _uncommented(line: str) -> str:
+    """A config line as the parser reads it: up to any '#', blanks at both ends cut."""
+    return line.split("#", 1)[0].strip()
+
+
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     """Flat 'key = value' lines; '#' starts a comment; unknown keys rejected."""
     cfg = base or RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
     updates = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _uncommented(raw)
         if not line:
             continue
         if "=" not in line:
@@ -342,9 +357,9 @@ def _decode_sum_constraint(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) 
 def _decode_gf2(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) -> DecodeResult:
     truth = np.rint(scene.reflectance).astype(np.uint8)
     meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
-    # on-off symbols are counts 0 and 1: the LLR log p0/p1 is their difference
+    # on-off symbols are counts 0 and 1: the logit log p1/p0 is their difference
     loglik = count_loglik(meas, (0, 1))
-    return decode_gf2_bp(loglik[:, 0] - loglik[:, 1], derive_parity_check(g), cfg.bp_options())
+    return decode_gf2_bp(loglik[:, 1] - loglik[:, 0], derive_parity_check(g), cfg.bp_options())
 
 
 # decoder_mode -> row: acquire one scene with code g over channel ch, decode it.

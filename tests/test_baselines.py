@@ -14,6 +14,7 @@ from codedgi import (
     binarize,
     builtin_scene,
     cgi_reconstruct,
+    decode_sum_bp,
     dgi_reconstruct,
     otsu_threshold,
     pinv_reconstruct,
@@ -344,6 +345,16 @@ class TestGramNorm:
 
 
 class TestSharedProperties:
+    @pytest.mark.parametrize(
+        "method",
+        [cgi_reconstruct, dgi_reconstruct, pinv_reconstruct, lambda ens, m: decode_sum_bp(m, ens)],
+        ids=["cgi", "dgi", "pinv", "decode_sum_bp"],
+    )
+    def test_pattern_and_shot_counts_must_agree(self, method):
+        # every reconstruction, coded BP among them, runs the ensemble's one check
+        with pytest.raises(ValueError, match="^ensemble has 3 patterns, measurement 4$"):
+            method(identity_ensemble(3), manual_measurement(np.ones(4)))
+
     @pytest.mark.parametrize(
         "method", [cgi_reconstruct, dgi_reconstruct, pinv_reconstruct]
     )

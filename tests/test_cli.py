@@ -153,6 +153,16 @@ def test_sweep_ber_at_unit_sampling_exits_before_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_out_with_line_break_exits_before_run_dir(tmp_path, capsys):
+    # the manifest holds `out` on one line, so a line break would end it there
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\n")
+    out = tmp_path / "a\nb"
+    assert main(["sweep-ber", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "would not read back from the manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gf2_grayscale_exits_before_run_dir(tmp_path, capsys):
     # gf2 decodes the rounded scene: its frames could never stack to the gray one
     cfg = tmp_path / "gray.cfg"

@@ -38,8 +38,9 @@ from codedgi.decoder import (
     MSG_FLOOR,
     DecodeDiagnostics,
     DecodeResult,
-    _check_plans,
+    _CheckPlan,
     _edge_logits,
+    _groups,
     _likelihoods,
     _sigmoid,
     _totals,
@@ -57,7 +58,7 @@ def plain_sum_bp(m, ens, opts):
     groups = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
     fixed = [_edge_logits(*_likelihoods(m, ids, 1)) for ids, _ in singles]
     prior = _totals(prior_logit, singles, fixed, k)
-    plans = _check_plans([px.shape for _, px in groups])
+    plans = _groups(_CheckPlan, groups)
     for plan, (ids, _) in zip(plans, groups):
         plan.set_likelihoods(m, ids)
     p2m = [np.full(px.shape, opts.prior) for _, px in groups]
@@ -166,11 +167,12 @@ def compare_sum_bp(m, ens, opts):
     return check_against(decode_sum_bp(m, ens, opts), opts.max_iters, run_to)
 
 
-def compare_gf2_bp(llrs, h, opts):
+def compare_gf2_bp(logits, h, opts):
+    # the plain loop passes LLRs, log p0/p1: the negated logits, exactly
     def run_to(n):
-        return plain_gf2_bp(llrs, h, replace(opts, max_iters=n))
+        return plain_gf2_bp(-logits, h, replace(opts, max_iters=n))
 
-    return check_against(decode_gf2_bp(llrs, h, opts), opts.max_iters, run_to)
+    return check_against(decode_gf2_bp(logits, h, opts), opts.max_iters, run_to)
 
 
 # the four workload configs of bench/workloads.py, as RunConfig overrides
@@ -276,13 +278,13 @@ def test_iterations_run_counts_the_variable_passes(monkeypatch):
         diag = decode_sum_bp(m, ens).diagnostics
         # one pass per iteration, after the one that folds degree-1 checks in
         assert len(calls) == diag.iterations_run + 1
-        plans = decoder._plans.by_shape.values()
+        plans = decoder._cache.groups.values()
         assert [passes.get(id(plan), 0) for plan in plans] == [diag.iterations_run - 1] * len(plans)
         calls.clear()
         passes.clear()
     for period in range(1, 31):
         llrs, h = ring_code(period, frustrated=False)
-        diag = decode_gf2_bp(llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
+        diag = decode_gf2_bp(-llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
         assert len(calls) == diag.iterations_run
         # the first variable pass is from the channel LLRs, before iteration 1
         assert list(passes.values()) == [diag.iterations_run] * len(h.rows.groups)
@@ -361,7 +363,7 @@ def test_gf2_cycles_of_each_period_match_plain_loop(period):
         # one result: the decode ends where the cycle is certified
         first = None
         for max_iters in sorted({4 * period + 30 + r for r in (0, 1, period - 1)}):
-            res = compare_gf2_bp(llrs, h, BpOptions(max_iters=max_iters))
+            res = compare_gf2_bp(-llrs, h, BpOptions(max_iters=max_iters))
             assert res.diagnostics.cycle_period == period
             assert stopped_on_cycle(res.diagnostics, max_iters)
             first = first or res
@@ -380,7 +382,7 @@ def test_gf2_random_decodes_match_plain_loop():
         h = ParityCheckMatrix(0, n, SparseRows.of(rows))
         llrs = rng.normal(0.0, float(rng.choice([0.5, 2.0, 8.0])), n)
         opts = BpOptions(max_iters=int(rng.integers(1, 120)))
-        stopped += stopped_on_cycle(compare_gf2_bp(llrs, h, opts).diagnostics, opts.max_iters)
+        stopped += stopped_on_cycle(compare_gf2_bp(-llrs, h, opts).diagnostics, opts.max_iters)
     assert stopped >= 20
 
 
@@ -405,7 +407,7 @@ def test_gf2_mixed_degree_decodes_match_plain_loop():
         ):
             degrees |= {vr.shape[1] for _, vr in h.rows.groups}
             max_iters = int(rng.integers(1, 60))
-            d = compare_gf2_bp(llrs, h, BpOptions(max_iters=max_iters)).diagnostics
+            d = compare_gf2_bp(-llrs, h, BpOptions(max_iters=max_iters)).diagnostics
             outcomes.add((d.converged, stopped_on_cycle(d, max_iters)))
     assert {1, 2, 4, 9} <= degrees
     assert len(outcomes) == 3  # converged, stopped on a cycle, ran to max_iters
@@ -416,7 +418,7 @@ def test_gf2_paper_scale_decode_matches_plain_loop():
     g = build_generator(CodeSpec(1024, 2048, DegreeDistribution.regular(128), 3))
     h = derive_parity_check(g)
     llrs = noisy_word_llrs(g, np.random.default_rng(3), 8.0)
-    d = compare_gf2_bp(llrs, h, BpOptions(max_iters=8)).diagnostics
+    d = compare_gf2_bp(-llrs, h, BpOptions(max_iters=8)).diagnostics
     assert (d.iterations_run, d.converged) == (6, True)
 
 

@@ -41,7 +41,7 @@ from codedgi import (
     sense,
     syndrome,
 )
-from codedgi.decoder import MSG_FLOOR, _CheckPlan, _sigmoid
+from codedgi.decoder import MSG_FLOOR, _CheckPlan, _ParityGroup, _sigmoid
 from codedgi.forward import RAYLEIGH_MEAN_MAG
 from codedgi.harness import parse_distribution
 from oracles import count_pmf, exhaustive_marginals, measurement_likelihood
@@ -430,40 +430,67 @@ print(decode_sum_bp(m, ens, BpOptions(max_iters=1)).diagnostics.residual.hex())
 """
 
 
-def coded_decode(k, n, dist, seed, opts):
+def coded_decode(cls, k, n, dist, seed, opts):
+    """Decode on a (k, n) code of `dist` with the decoder whose check groups are `cls`.
+
+    Returns the result, the index groups the decoder builds its groups from,
+    and every decode input the cache must not keep: those groups, the ones
+    it folds into the prior, and the channel input.
+    """
     g = build_generator(CodeSpec(k, n, dist, seed=seed))
+    rng = np.random.default_rng(seed)
+    if issubclass(cls, _ParityGroup):
+        # logits of a random codeword sent as +-2 with variance 4
+        word = encode(g, rng.integers(0, 2, k))
+        logits = (2.0 * word - 1.0) * 2.0 + rng.normal(0.0, 2.0, n)
+        h = derive_parity_check(g)
+        groups = list(h.rows.groups)
+        inputs = [arr for group in groups for arr in group] + [logits]
+        return decode_gf2_bp(logits, h, opts), groups, inputs
     ens = patterns_from_generator(g)
     side = math.isqrt(k)
-    scene = SceneImage(side, k // side, np.random.default_rng(seed).integers(0, 2, k).astype(float))
+    scene = SceneImage(side, k // side, rng.integers(0, 2, k).astype(float))
     m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=seed + 1)
-    return decode_sum_bp(m, ens, opts), ens
+    groups = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
+    inputs = [arr for group in ens.patterns.groups for arr in group] + [m.bucket]
+    return decode_sum_bp(m, ens, opts), groups, inputs
 
 
-def check_shapes(ens):
-    return {px.shape for _, px in ens.patterns.groups if px.shape[1] > 1}
+def cache_keys(cls, groups):
+    return {(cls, *idx.shape) for _, idx in groups}
+
+
+GROUP_CLASSES = pytest.mark.parametrize(
+    "cls", [_CheckPlan, _ParityGroup], ids=lambda cls: cls.__name__
+)
 
 
 class TestCheckPlans:
     def test_shape_switches_leave_results_unchanged(self):
+        # a decode of another shape, or by the other decoder, evicts the plans
         opts = BpOptions(max_iters=20, damping=0.3)
-        first, ens_a = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
-        _, ens_b = coded_decode(49, 98, DegreeDistribution.regular(3), 12, opts)
-        assert set(decoder._plans.by_shape) == check_shapes(ens_b)
-        third, _ = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
-        assert set(decoder._plans.by_shape) == check_shapes(ens_a)
+        dist = DegreeDistribution.regular(5)
+        first, groups_a, _ = coded_decode(_CheckPlan, 36, 72, dist, 11, opts)
+        _, groups_b, _ = coded_decode(_CheckPlan, 49, 98, DegreeDistribution.regular(3), 12, opts)
+        assert set(decoder._cache.groups) == cache_keys(_CheckPlan, groups_b)
+        _, parity, _ = coded_decode(_ParityGroup, 36, 72, dist, 11, opts)
+        assert set(decoder._cache.groups) == cache_keys(_ParityGroup, parity)
+        third, _, _ = coded_decode(_CheckPlan, 36, 72, dist, 11, opts)
+        assert set(decoder._cache.groups) == cache_keys(_CheckPlan, groups_a)
         np.testing.assert_array_equal(third.pixels, first.pixels)
         np.testing.assert_array_equal(third.marginals, first.marginals)
         assert third.diagnostics == first.diagnostics
 
-    def test_same_shape_decodes_do_not_see_each_other(self):
-        # A and A' share every (B, d) shape, so A' reuses A's plans and A
-        # then reuses the plans A' left its messages in
+    @GROUP_CLASSES
+    def test_same_shape_decodes_do_not_see_each_other(self, cls):
+        # A and A' share every (B, d) shape, so A' reuses A's groups and A
+        # then reuses the groups A' left its messages in
         opts = BpOptions(max_iters=20, damping=0.3)
-        first, ens_a = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
-        other, ens_b = coded_decode(36, 72, DegreeDistribution.regular(5), 13, opts)
-        assert check_shapes(ens_b) == check_shapes(ens_a)
+        first, groups_a, _ = coded_decode(cls, 36, 72, DegreeDistribution.regular(5), 11, opts)
+        other, groups_b, _ = coded_decode(cls, 36, 72, DegreeDistribution.regular(5), 13, opts)
+        assert cache_keys(cls, groups_b) == cache_keys(cls, groups_a)
         assert not np.array_equal(other.marginals, first.marginals)
-        third, _ = coded_decode(36, 72, DegreeDistribution.regular(5), 11, opts)
+        third, _, _ = coded_decode(cls, 36, 72, DegreeDistribution.regular(5), 11, opts)
         np.testing.assert_array_equal(third.pixels, first.pixels)
         assert third.marginals.tobytes() == first.marginals.tobytes()
         assert third.diagnostics == first.diagnostics
@@ -480,43 +507,42 @@ class TestCheckPlans:
         opts = BpOptions(max_iters=15, damping=0.2)
         fast = decode_sum_bp(m, ens, opts).marginals
         np.testing.assert_allclose(fast, reference_sum_bp(m, ens, opts), atol=1e-12)
-        assert set(decoder._plans.by_shape) == check_shapes(ens)
+        checks = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
+        assert set(decoder._cache.groups) == cache_keys(_CheckPlan, checks)
 
-    def test_cached_plans_hold_no_decode_input(self):
-        # the plans outlive the decode in the cache; a plan that kept a view
-        # of the patterns or the bucket would keep them alive with it
-        ens = patterns_from_generator(
-            build_generator(CodeSpec(36, 72, parse_distribution("3:0.5,5:0.5"), seed=3))
-        )
-        scene = SceneImage(6, 6, np.random.default_rng(3).integers(0, 2, 36).astype(float))
-        m = sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=4)
-        decode_sum_bp(m, ens, BpOptions(max_iters=5, damping=0.3))
-        assert set(decoder._plans.by_shape) == check_shapes(ens)
-        inputs = [arr for group in ens.patterns.groups for arr in group] + [m.bucket]
+    @GROUP_CLASSES
+    def test_cached_groups_hold_no_decode_input(self, cls):
+        # the groups outlive the decode in the cache; a group that kept a
+        # view of the index matrices or the channel input would keep them alive
+        dist = parse_distribution("3:0.5,5:0.5")
+        _, groups, inputs = coded_decode(cls, 36, 72, dist, 3, BpOptions(max_iters=5, damping=0.3))
+        assert set(decoder._cache.groups) == cache_keys(cls, groups)
         refs = [weakref.ref(arr) for arr in inputs]
-        del ens, m, inputs
+        del groups, inputs
         gc.collect()
         assert [i for i, ref in enumerate(refs) if ref() is not None] == []
 
-    def test_plans_built_once_per_shape(self, monkeypatch):
+    @GROUP_CLASSES
+    def test_groups_built_once_per_shape(self, cls, monkeypatch):
         built = []
 
-        class CountingPlan(_CheckPlan):
+        class Counting(cls):
             def __init__(self, b, d):
                 built.append((b, d))
                 super().__init__(b, d)
 
-        monkeypatch.setattr(decoder, "_CheckPlan", CountingPlan)
+        monkeypatch.setattr(decoder, cls.__name__, Counting)
         dist = parse_distribution("3:0.5,5:0.5")
-        # iterate to max_iters without stopping early
+        # no stall stop: the sum-BP decode runs to max_iters, the GF(2) one
+        # to a zero syndrome, each iteration on the groups built at the start
         opts = BpOptions(max_iters=50, stall_window=51)
-        coded_decode(16, 32, DegreeDistribution.regular(4), 2, opts)  # evict other shapes
+        coded_decode(Counting, 16, 32, DegreeDistribution.regular(4), 2, opts)  # evict other shapes
         built.clear()
-        res, ens = coded_decode(36, 72, dist, 3, opts)
-        assert res.diagnostics.iterations_run == 50
-        assert sorted(built) == sorted(check_shapes(ens))
+        res, groups, _ = coded_decode(Counting, 36, 72, dist, 3, opts)
+        assert res.diagnostics.iterations_run == (50 if cls is _CheckPlan else 4)
+        assert sorted(built) == sorted(idx.shape for _, idx in groups)
         built.clear()
-        coded_decode(36, 72, dist, 3, opts)
+        coded_decode(Counting, 36, 72, dist, 3, opts)
         assert built == []
 
 
@@ -540,7 +566,7 @@ class TestDecodeGf2Bp:
 
     def test_strong_positive_llrs_decode_zero(self):
         h = derive_parity_check(self.toy())
-        res = decode_gf2_bp(np.full(5, 12.0), h)
+        res = decode_gf2_bp(-np.full(5, 12.0), h)
         assert not res.pixels.any()
         assert res.diagnostics.converged
         assert res.diagnostics.iterations_run == 1
@@ -557,7 +583,7 @@ class TestDecodeGf2Bp:
         r[0] = 0.45 * math.sqrt(ch.es)  # push the first symbol toward 0
         loglik = count_loglik(Measurement(r, np.ones(5), ch, seed=0), (0, 1))
         llrs = loglik[:, 0] - loglik[:, 1]
-        res = decode_gf2_bp(llrs, h)
+        res = decode_gf2_bp(-llrs, h)
         assert np.array_equal(res.pixels, true_bits)
         # exhaustive ML oracle agrees
         assert np.array_equal(ml_codeword(llrs, g)[:3], true_bits)
@@ -569,7 +595,7 @@ class TestDecodeGf2Bp:
         converged_runs = 0
         for _ in range(30):
             llrs = rng.normal(0, 2, 24)
-            res = decode_gf2_bp(llrs, h, BpOptions(max_iters=30))
+            res = decode_gf2_bp(-llrs, h, BpOptions(max_iters=30))
             if res.diagnostics.converged:
                 converged_runs += 1
                 assert len(res.marginals) == 24
@@ -582,7 +608,7 @@ class TestDecodeGf2Bp:
         rng = np.random.default_rng(5)
         saw_unconverged = False
         for _ in range(50):
-            res = decode_gf2_bp(rng.normal(0, 1, 5), h, BpOptions(max_iters=5))
+            res = decode_gf2_bp(-rng.normal(0, 1, 5), h, BpOptions(max_iters=5))
             assert res.diagnostics.iterations_run <= 5
             if not res.diagnostics.converged:
                 saw_unconverged = True
@@ -591,7 +617,7 @@ class TestDecodeGf2Bp:
     def test_length_and_mode_validation(self):
         h = derive_parity_check(self.toy())
         with pytest.raises(ValueError):
-            decode_gf2_bp(np.zeros(4), h)
+            decode_gf2_bp(-np.zeros(4), h)
 
     def test_rejects_max_iters_below_one_as_bp_options_does(self):
         # the range lives in BpOptions alone, which both decoders read; the
@@ -600,5 +626,5 @@ class TestDecodeGf2Bp:
             BpOptions(max_iters=0)
         h = derive_parity_check(self.toy())
         llrs = np.random.default_rng(2).normal(0, 1, 5)
-        res = decode_gf2_bp(llrs, h, BpOptions(max_iters=1))
+        res = decode_gf2_bp(-llrs, h, BpOptions(max_iters=1))
         assert res.diagnostics.iterations_run == 1

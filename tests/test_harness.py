@@ -30,6 +30,7 @@ from codedgi.harness import (
     read_scene,
     replay,
     run_experiment,
+    write_manifest,
 )
 from codedgi.pgmio import read_pgm, write_pgm
 
@@ -406,6 +407,36 @@ class TestManifestReplay:
         run_dir = run_experiment(cfg)
         parsed = read_manifest_config(os.path.join(run_dir, "manifest.txt"))
         assert parsed == cfg
+
+    # strings to_text would write as they are and the parser read back
+    # otherwise: cut at the '#' or the line break, or without their blanks
+    UNREADABLE = [
+        "p#1/g.pgm", "runs/a\nb", "runs/a\n", " runs", "runs\t", "a\rb", "a\x1cb", "a\u2028b"
+    ]
+
+    @pytest.mark.parametrize("field", ["scene", "out"])
+    def test_strings_the_manifest_cannot_replay_are_rejected(self, field):
+        for text in self.UNREADABLE:
+            with pytest.raises(ConfigError, match="would not read back from the manifest"):
+                tiny_cfg(**{field: text}).validate()
+
+    @pytest.mark.parametrize("field", ["scene", "out"])
+    def test_other_strings_read_back_from_the_manifest(self, tmp_path, field):
+        for text in ["a b=c/g.pgm", "\u00fc/\u00f8.pgm", "runs/[seeds]", ""]:
+            cfg = tiny_cfg(**{field: text})
+            cfg.validate()
+            write_manifest(str(tmp_path), cfg, {})
+            assert read_manifest_config(tmp_path / "manifest.txt") == cfg
+
+    def test_scene_path_with_hash_fails_before_run_dir(self, tmp_path):
+        # the run would go through, and its replay read the scene path cut at the '#'
+        scene = tmp_path / "p#1" / "g.pgm"
+        scene.parent.mkdir()
+        write_pgm(scene, 8, 8, codedgi.builtin_scene("glyphs", 8, 8).reflectance)
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="^scene "):
+            run_experiment(tiny_cfg(scene=str(scene), out=str(out)))
+        assert not out.exists()
 
     def test_replay_reproduces_bytes(self, tmp_path):
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "first"), snr_db=10.0)
