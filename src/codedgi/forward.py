@@ -254,11 +254,12 @@ def save_measurement_csv(m: Measurement, path) -> None:
 
 
 def load_measurement_csv(path) -> Measurement:
+    """The measurement of a `save_measurement_csv` file, whose rows hold indices 0..n-1 in order."""
     meta: dict[str, str] = {}
     bucket = []
     fading = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
@@ -268,7 +269,11 @@ def load_measurement_csv(path) -> Measurement:
             elif line.startswith("index,"):
                 continue
             else:
-                _, r, h = line.split(",")
+                index, r, h = line.split(",")
+                if index.strip() != str(len(bucket)):
+                    raise ValueError(
+                        f"{path}: line {number}: index {index!r}, expected {len(bucket)}"
+                    )
                 bucket.append(float(r))
                 fading.append(float(h))
     for key in ("es", "n0", "fading", "csi_known", "seed"):

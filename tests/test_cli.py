@@ -211,6 +211,17 @@ def test_measurement_csv_bad_csi_flag_exit_code(tmp_path, glyph_pgm, capsys, fla
     assert not (tmp_path / "d.pgm").exists()
 
 
+def test_measurement_csv_rows_out_of_order_exit_code(tmp_path, glyph_pgm, capsys):
+    args = _decode_args(tmp_path, glyph_pgm, "--out", str(tmp_path / "d.pgm"))
+    meas = tmp_path / "meas.csv"
+    lines = meas.read_text().splitlines(keepends=True)
+    lines[6], lines[7] = lines[7], lines[6]  # the rows of shots 0 and 1
+    meas.write_text("".join(lines))
+    assert main(args) == 2
+    assert "line 7: index '1', expected 0" in capsys.readouterr().err
+    assert not (tmp_path / "d.pgm").exists()
+
+
 def test_generator_with_n_below_k_exit_code(tmp_path, capsys):
     code = tmp_path / "code.txt"
     code.write_text("3 2 -1 0\n")

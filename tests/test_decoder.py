@@ -216,6 +216,34 @@ class TestCheckUpdate:
             plan.p[...] = p.T
             assert np.array_equal(plan().T, expect)
 
+    @pytest.mark.parametrize("n0", [0.5, 0.0])
+    @pytest.mark.parametrize("d", [2, 8, 128, 5, 13, 129])
+    def test_filled_pass_matches_oneshot_kernel_bit_for_bit(self, d, n0):
+        # `fill` with one value per check, then with one value, then with a
+        # (d, B) draw: a power-of-two d runs the first two on node 0 of each
+        # level only, a padded plan all three in full; every node starts NaN
+        rng = np.random.default_rng(9000 + d)
+        b = 3
+        ch = ChannelParams(es=1.0, n0=n0, fading="rayleigh")
+        amp = rng.rayleigh(scale=math.sqrt(0.5), size=b)
+        plan = _CheckPlan(b, d)
+        for fill in (rng.random(b), 0.16, rng.random((d, b))):
+            p = np.broadcast_to(fill, (d, b)).T
+            counts = (rng.random((b, d)) < p).sum(axis=1).astype(np.float64)
+            if n0 == 0:
+                counts[0] += 0.5
+            r = amp * counts + rng.normal(0.0, math.sqrt(n0 / 2), b)
+            plan.set_likelihoods(Measurement(r, amp, ch, seed=0), np.arange(b))
+            expect = oneshot_check_update(p, oneshot_likelihood_table(r, amp, d, ch))
+            for _, _, out in plan._up + plan._down:
+                out.fill(np.nan)
+            plan._leaves[:d, 0] = plan.msg[...] = np.nan
+            plan.fill(fill)
+            assert np.array_equal(plan().T, expect)
+            if d > 2:  # node 1 of the leaves' parents is computed by the full pass only
+                narrow = d & (d - 1) == 0 and np.ndim(fill) < 2
+                assert np.isnan(plan._up[0][2][1]).all() == narrow
+
 
 def planned_check_update(p, r, amp, ch):
     plan = _CheckPlan(*p.shape)
@@ -270,6 +298,19 @@ def oneshot_check_update(p2m, lik):
     msg = np.divide(m1, denom, out=np.full_like(m1, 0.5), where=denom > 0)
     msg = np.clip(msg, MSG_FLOOR, 1.0 - MSG_FLOOR)
     return (np.log(msg) - np.log1p(-msg)).T
+
+
+def test_likelihoods_skip_only_exponents_that_underflow(monkeypatch):
+    # scaled exponents over [-800, -740], across exp's underflow to 0 at
+    # -745.13, then -inf, then a shot no count fits
+    x = np.linspace(-800.0, -740.0, 2_000_000).reshape(-1, 100)
+    x[0, 0] = -np.inf
+    logf = np.hstack([np.zeros((len(x), 1)), x])  # count 0 at the top: logf is its own scaling
+    logf = np.vstack([logf, np.full(logf.shape[1], -np.inf)])
+    monkeypatch.setattr(decoder, "count_loglik", lambda m, counts, ids: logf)
+    lik = decoder._likelihoods(None, np.arange(len(logf)), logf.shape[1] - 1)
+    assert (lik[1:] > 0).any() and (lik[1:] == 0).any()
+    assert np.array_equal(lik, np.exp(logf).T)
 
 
 def test_sigmoid_matches_masked_formula_bit_for_bit():

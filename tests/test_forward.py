@@ -347,6 +347,20 @@ class TestMeasurementCsv:
         assert m2.channel == ch
         assert m2.seed == 42
 
+    @pytest.mark.parametrize(
+        "order, line, index, expected",
+        [((1, 0, 2), 7, "1", 0), ((0, 0, 2), 8, "0", 1), ((0, 2), 8, "2", 1)],
+        ids=["swapped", "repeated", "missing"],
+    )
+    def test_rows_must_hold_indices_in_order(self, tmp_path, order, line, index, expected):
+        path = tmp_path / "meas.csv"
+        save_measurement_csv(Measurement([1.5, 2.5, 3.5], np.ones(3), ChannelParams(), 1), path)
+        lines = path.read_text().splitlines(keepends=True)
+        rows = lines[-3:]
+        path.write_text("".join(lines[:-3] + [rows[i] for i in order]))
+        with pytest.raises(ValueError, match=f"line {line}: index '{index}', expected {expected}"):
+            load_measurement_csv(path)
+
     @pytest.mark.parametrize("flag", ["2", "-1", "yes", "1.0", ""])
     def test_csi_flag_must_be_0_or_1(self, tmp_path, flag):
         path = tmp_path / "meas.csv"
