@@ -22,6 +22,7 @@ from .forward import (
     Measurement,
     SceneImage,
     count_loglik,
+    onoff_logits,
     patterns_from_generator,
     random_speckle,
     receiver_gains,

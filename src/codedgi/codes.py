@@ -367,6 +367,9 @@ def load_generator(path) -> GeneratorMatrix:
             if not line:
                 raise ValueError(f"truncated generator file {path}")
             columns.append(np.array([int(t) for t in line.split()], dtype=np.int64))
+        for number, line in enumerate(fh, num_cols + 2):
+            if line.strip():
+                raise ValueError(f"{path}: line {number}: text after the last parity column")
     for col in columns:
         if len(col) and (col.min() < 0 or col.max() >= k):
             raise ValueError("parity column index out of range")

@@ -43,7 +43,7 @@ pattern sizes of random_speckle(256, 512, 0.5, seed=3).
 
 - decode_gf2_bp: standard tanh-rule sum-product on a parity-check matrix,
   for the binary-symbol channel view of the same system. The channel
-  logits it takes are count 1 minus count 0 of `forward.count_loglik`.
+  logits it takes come from `forward.onoff_logits`.
   Each group of B checks of degree d is a `_ParityGroup`, whose state is
   its `msg`, zeroed at the start of each decode. It tests its checks'
   syndrome as an XOR-reduce over its `cols`.

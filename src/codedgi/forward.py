@@ -11,7 +11,8 @@ path sends codeword bits through the same `transmit`. The patterns are a
 `codes.SparseRows` (one row of lit pixels per pattern), so `pattern_sums` is
 its row sum, over the same layout the decoder reads.
 `ChannelParams.at_snr_db` turns an SNR in dB into a channel. The receiver's
-model of it is written once, here: `receiver_gains` and `count_loglik`.
+model of it is written once, here: `receiver_gains`, `count_loglik` and
+`onoff_logits`, the last the GF(2) path's view of the same likelihood.
 
 Fading magnitudes are Rayleigh with unit second moment (the magnitude of a
 circularly-symmetric unit-variance complex Gaussian); with fading off they
@@ -233,6 +234,12 @@ def count_loglik(m: Measurement, counts, shots=slice(None)) -> np.ndarray:
         fits = np.abs(r - mean) <= 1e-9 * np.maximum(1.0, np.abs(r))
         return np.where(fits, 0.0, -np.inf)
     return -((r - mean) ** 2) / m.channel.n0
+
+
+def onoff_logits(m: Measurement) -> np.ndarray:
+    """Per-shot on-off logit log p(r | 1) / p(r | 0) of code bits sent as counts 0 and 1."""
+    loglik = count_loglik(m, (0, 1))
+    return loglik[:, 1] - loglik[:, 0]
 
 
 def snr_db_to_linear(x_db: float) -> float:

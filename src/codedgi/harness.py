@@ -38,7 +38,7 @@ from .decoder import BpOptions, DecodeResult, decode_gf2_bp, decode_sum_bp
 from .forward import (
     ChannelParams,
     SceneImage,
-    count_loglik,
+    onoff_logits,
     patterns_from_generator,
     random_speckle,
     sense,
@@ -357,9 +357,7 @@ def _decode_sum_constraint(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) 
 def _decode_gf2(cfg: RunConfig, g, scene: SceneImage, ch, seed: int) -> DecodeResult:
     truth = np.rint(scene.reflectance).astype(np.uint8)
     meas = transmit(encode(g, truth), ch, _substream(seed, _SUB_SENSE))
-    # on-off symbols are counts 0 and 1: the logit log p1/p0 is their difference
-    loglik = count_loglik(meas, (0, 1))
-    return decode_gf2_bp(loglik[:, 1] - loglik[:, 0], derive_parity_check(g), cfg.bp_options())
+    return decode_gf2_bp(onoff_logits(meas), derive_parity_check(g), cfg.bp_options())
 
 
 # decoder_mode -> row: acquire one scene with code g over channel ch, decode it.
@@ -523,24 +521,20 @@ def _write_compare(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) ->
 
 def _write_grayscale(cfg: RunConfig, scene: SceneImage, run_dir: str, by_point) -> None:
     """Average 2^bits independent binary decodes into a gray image."""
-    frames = [methods["ldpc"][1] for _, methods in by_point[0]]
-    count = len(frames)
+    frames = np.array([methods["ldpc"][1] for _, methods in by_point[0]])
     csv_path = os.path.join(run_dir, "grayscale.csv")
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("# schema: codedgi.grayscale.v1\n")
         fh.write("frames,mae\n")
-        prefix = 1
-        while prefix <= count:
-            stack = FrameStack(cfg.width, cfg.height, frames[:prefix])
-            mae = mean_abs_error(scene, grayscale_stack(stack))
-            fh.write(f"{prefix},{mae!r}\n")
-            prefix *= 2
-    final = grayscale_stack(FrameStack(cfg.width, cfg.height, frames))
+        for bits in range(cfg.gray_bits + 1):
+            # the last prefix, 2**gray_bits frames, is the whole stack
+            gray = grayscale_stack(FrameStack(cfg.width, cfg.height, frames[: 2**bits]))
+            fh.write(f"{2**bits},{mean_abs_error(scene, gray)!r}\n")
     write_pgm(
-        os.path.join(run_dir, f"gray_stack_snr{cfg.snr_db:g}_n{count}.pgm"),
+        os.path.join(run_dir, f"gray_stack_snr{cfg.snr_db:g}_n{len(frames)}.pgm"),
         cfg.width,
         cfg.height,
-        final.reflectance,
+        gray.reflectance,
     )
     write_pgm(os.path.join(run_dir, "gray_truth.pgm"), cfg.width, cfg.height, scene.reflectance)
 

@@ -12,29 +12,24 @@ from .forward import SceneImage
 
 @dataclass
 class FrameStack:
-    """Binary frames of identical shape, to be averaged into a gray image."""
+    """Binary frames of identical shape, to be averaged into a gray image.
+
+    `frames` becomes an (F, width*height) uint8 array, one row per frame.
+    """
 
     width: int
     height: int
-    frames: list[np.ndarray]
+    frames: np.ndarray
 
     def __post_init__(self):
-        if not self.frames:
+        if len(self.frames) == 0:
             raise ValueError("stack needs at least one frame")
-        k = self.width * self.height
-        frames = []
-        for f in self.frames:
-            f = np.asarray(f)
-            if f.shape != (k,):
-                raise ValueError("all frames must match the stack shape")
-            if not np.isin(f, (0, 1)).all():
-                raise ValueError("frames must be binary")
-            frames.append(f.astype(np.uint8))
-        self.frames = frames
-
-    @property
-    def count(self) -> int:
-        return len(self.frames)
+        frames = np.asarray(self.frames)
+        if frames.shape[1:] != (self.width * self.height,):
+            raise ValueError("all frames must match the stack shape")
+        if not np.isin(frames, (0, 1)).all():
+            raise ValueError("frames must be binary")
+        self.frames = frames.astype(np.uint8)
 
 
 def ber(truth: np.ndarray, decoded: np.ndarray) -> float:
@@ -79,14 +74,8 @@ def mean_abs_error(truth: SceneImage, recon: SceneImage) -> float:
 def grayscale_stack(stack: FrameStack) -> SceneImage:
     """Per-pixel arithmetic mean of binary frames.
 
-    Output values lie on the lattice {0, 1/count, ..., 1} exactly (the sum
-    is an integer and the division by count is a single rounding).
+    Output values lie on the lattice {0, 1/F, ..., 1} exactly, F the frame
+    count: the sum is an integer and the division by F a single rounding.
     """
-    total = np.zeros(stack.width * stack.height, dtype=np.int64)
-    for f in stack.frames:
-        total += f
-    return SceneImage(
-        width=stack.width,
-        height=stack.height,
-        reflectance=total.astype(np.float64) / stack.count,
-    )
+    total = stack.frames.sum(axis=0, dtype=np.int64)
+    return SceneImage(stack.width, stack.height, total / len(stack.frames))

@@ -6,9 +6,13 @@ deterministic, so saved images are byte-stable across runs.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 MAXVAL = 255
+# a '#' comment runs to the end of its line; a '#' inside a token is part of it
+_COMMENT_OR_TOKEN = re.compile(rb"#[^\n]*|(\S+)")
 
 
 def write_pgm(path, width: int, height: int, values01: np.ndarray) -> None:
@@ -24,51 +28,30 @@ def write_pgm(path, width: int, height: int, values01: np.ndarray) -> None:
         fh.write(gray.tobytes())
 
 
-def _tokens_skipping_comments(data: bytes):
-    """Yield whitespace-separated header tokens, skipping '#' comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-            continue
-        j = i
-        while j < len(data) and not data[j : j + 1].isspace():
-            j += 1
-        yield i, data[i:j]
-        i = j
-
-
 def read_pgm(path) -> tuple[int, int, np.ndarray]:
     """Load a P2/P5 PGM as (width, height, values in [0,1]). Requires maxval 255."""
     with open(path, "rb") as fh:
         data = fh.read()
-    toks = _tokens_skipping_comments(data)
+    toks = (m for m in _COMMENT_OR_TOKEN.finditer(data) if m[1])
     try:
-        _, magic = next(toks)
+        magic = next(toks)[1]
         if magic not in (b"P2", b"P5"):
             raise ValueError(f"unsupported PGM magic {magic!r} in {path}")
-        _, w = next(toks)
-        _, h = next(toks)
-        pos, maxval_tok = next(toks)
+        w, h, maxval_tok = next(toks), next(toks), next(toks)
     except StopIteration:
         raise ValueError(f"truncated PGM header in {path}") from None
-    width, height, maxval = int(w), int(h), int(maxval_tok)
+    width, height, maxval = int(w[1]), int(h[1]), int(maxval_tok[1])
     if maxval != MAXVAL:
         raise ValueError(f"PGM maxval must be {MAXVAL}, got {maxval}")
     count = width * height
     if magic == b"P5":
-        start = pos + len(maxval_tok) + 1  # single whitespace after maxval
+        start = maxval_tok.end() + 1  # single whitespace after maxval
         raw = data[start : start + count]
         if len(raw) != count:
             raise ValueError(f"truncated PGM pixel data in {path}")
         gray = np.frombuffer(raw, dtype=np.uint8)
     else:
-        rest = [int(tok) for _, tok in toks]
+        rest = [int(m[1]) for m in toks]
         if len(rest) != count:
             raise ValueError(f"expected {count} pixels, got {len(rest)} in {path}")
         if not all(0 <= v <= maxval for v in rest):

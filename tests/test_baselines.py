@@ -116,6 +116,13 @@ class TestDgi:
             dgi_reconstruct(ens, m)
 
 
+@pytest.mark.parametrize("method", [cgi_reconstruct, dgi_reconstruct, pinv_reconstruct])
+def test_empty_ensemble_rejected(method):
+    ens = IlluminationEnsemble(4, SparseRows.of([]))
+    with pytest.raises(ValueError, match="empty ensemble"):
+        method(ens, manual_measurement(np.zeros(0)))
+
+
 def near_singular_acquisition():
     """Six pixels, full rank, but pixels 0 and 1 are lit apart only by a shot
     whose |h| is 1e-5: cond(A) is about 8e5, so the Gram's is about 7e11."""

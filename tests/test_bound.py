@@ -122,6 +122,12 @@ def test_params_reject_non_positive_or_non_finite_channel():
             params(es=es, n0=n0)
 
 
+@pytest.mark.parametrize("k, n, message", [(0, 4, "K must be >= 1"), (8, 8, "N must exceed K")])
+def test_params_reject_bad_code_shape(k, n, message):
+    with pytest.raises(ValueError, match=message):
+        params(k=k, n=n, degree=1)
+
+
 class TestBerLowerBound:
     def test_vanishes_as_noise_vanishes(self):
         assert ber_lower_bound(params(n0=1e-20)) < 1e-18

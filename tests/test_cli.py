@@ -12,6 +12,7 @@ import codedgi
 import codedgi.cli
 from codedgi.cli import main
 from codedgi.decoder import BpOptions
+from codedgi.harness import PRESETS, RunConfig
 from codedgi.pgmio import read_pgm, write_pgm
 from codedgi import builtin_scene
 
@@ -57,6 +58,15 @@ def test_bound_command(tmp_path, capsys):
     assert len(lines) == 4
 
 
+def test_bound_command_without_out_writes_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["bound", "--k", "64", "--n", "128", "--snr-db", "0", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["# schema: codedgi.bound-sweep.v1", "snr_db,gamma,p_ray,p_e,p_b"]
+    assert [line.split(",")[0] for line in lines[2:]] == ["0", "10"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_scene_command(tmp_path):
     out = str(tmp_path / "radial.pgm")
     assert main(["scene", "--name", "radial", "--width", "16", "--height", "16",
@@ -84,6 +94,18 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 def test_bad_preset_exit_code(capsys):
     assert main(["sweep-ber", "--preset", "nope"]) == 2
+
+
+def test_preset_and_overrides_reach_the_run(monkeypatch, capsys):
+    runs = []
+    monkeypatch.setattr(codedgi.cli, "run_experiment", lambda cfg: runs.append(cfg) or "run")
+    assert main(["compare", "--preset", "paper-v", "--seed", "99", "--threads", "2"]) == 0
+    (cfg,) = runs
+    for key, value in PRESETS["paper-v"].items():
+        assert getattr(cfg, key) == value
+    assert (cfg.experiment, cfg.seed, cfg.threads) == ("compare", 99, 2)
+    assert cfg.out == RunConfig().out
+    assert capsys.readouterr().out == "run complete: run\n"
 
 
 def test_out_of_range_scene_pixel_exit_code(tmp_path, capsys):
@@ -233,6 +255,18 @@ def test_generator_with_n_below_k_exit_code(tmp_path, capsys):
         assert "1 <= K <= N" in capsys.readouterr().err
 
 
+def test_generator_with_lines_past_its_columns_exit_code(tmp_path, capsys):
+    # the header announces 4 parity columns; a fifth line must not be dropped
+    code = tmp_path / "code.txt"
+    code.write_text("8 12 4 1\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+    scene = tmp_path / "scene.pgm"
+    write_pgm(scene, 8, 1, np.array([1.0, 0.0] * 4))
+    for command in ("sense", "encode"):
+        assert main([command, "--code", str(code), "--scene", str(scene),
+                     "--out", str(tmp_path / "out.txt")]) == 2
+        assert "line 6: text after the last parity column" in capsys.readouterr().err
+
+
 def _decode_args(tmp_path, glyph_pgm, *extra):
     code = str(tmp_path / "code.txt")
     meas = str(tmp_path / "meas.csv")
@@ -344,11 +378,22 @@ def test_decode_rejects_nan_in_measurement(tmp_path, glyph_pgm, capsys, monkeypa
     assert not out.exists()
 
 
-def test_python_dash_m_runs_the_cli():
+def _python_dash_m(*args):
+    """`python -m codedgi ARGS` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(codedgi.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-m", "codedgi", "bound", "--k", "64", "--n", "128", "--snr-db", "10"],
+    return subprocess.run(
+        [sys.executable, "-m", "codedgi", *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python_dash_m("bound", "--k", "64", "--n", "128", "--snr-db", "10")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "# schema: codedgi.bound-sweep.v1"
+
+
+def test_python_dash_m_prints_the_version():
+    proc = _python_dash_m("--version")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "codedgi 0.1.0\n"

@@ -484,3 +484,56 @@ class TestSerialization:
             path.write_text(text)
             with pytest.raises(ValueError, match="1 <= K <= N"):
                 load_generator(path)
+
+
+class TestInputChecks:
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            DegreeDistribution(())
+
+    def test_code_spec_needs_an_info_bit(self):
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            CodeSpec(0, 4, DegreeDistribution.regular(1), seed=0)
+
+    def test_encode_rejects_non_binary_pixels(self):
+        with pytest.raises(ValueError, match="pixels must be binary"):
+            encode(toy_generator(), np.array([0, 2, 1]))
+
+    def test_syndrome_rejects_wrong_length(self):
+        h = derive_parity_check(toy_generator())
+        with pytest.raises(ValueError, match=r"codeword has length \(4,\), expected \(5,\)"):
+            syndrome(h, np.zeros(4, dtype=np.uint8))
+
+
+class TestGeneratorFileChecks:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 5 2\n0 1\n1 2\n", "bad generator header"),
+            ("3 5 3 0\n0 1\n1 2\n", "parity column count does not match N-K"),
+            ("3 5 2 0\n0 3\n1 2\n", "parity column index out of range"),
+            ("3 5 2 0\n-1 1\n1 2\n", "parity column index out of range"),
+        ],
+    )
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            load_generator(path)
+
+    def test_lines_past_the_last_column_rejected(self, tmp_path):
+        # the header announces 4 columns; the two lines after them are named, not dropped
+        path = tmp_path / "long.txt"
+        path.write_text("8 12 4 1\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+        with pytest.raises(ValueError, match="line 6: text after the last parity column"):
+            load_generator(path)
+
+    def test_trailing_blank_lines_and_empty_columns_accepted(self, tmp_path):
+        columns = SparseRows.of([np.array([0, 2]), np.array([], np.int64)])
+        g = GeneratorMatrix(3, 5, 9, parity_columns=columns)
+        path = tmp_path / "g.txt"
+        save_generator(g, path)
+        assert path.read_text() == "3 5 2 9\n0 2\n\n"
+        path.write_text(path.read_text() + "\n  \n")
+        loaded = load_generator(path)
+        assert rows_equal(loaded.parity_columns, g.parity_columns)

@@ -32,11 +32,11 @@ from codedgi import (
     SceneImage,
     SparseRows,
     build_generator,
-    count_loglik,
     decode_gf2_bp,
     decode_sum_bp,
     derive_parity_check,
     encode,
+    onoff_logits,
     patterns_from_generator,
     sense,
     syndrome,
@@ -622,8 +622,7 @@ class TestDecodeGf2Bp:
         r = cw * math.sqrt(ch.es)  # clean on-off amplitudes
         r = r.astype(float)
         r[0] = 0.45 * math.sqrt(ch.es)  # push the first symbol toward 0
-        loglik = count_loglik(Measurement(r, np.ones(5), ch, seed=0), (0, 1))
-        llrs = loglik[:, 0] - loglik[:, 1]
+        llrs = -onoff_logits(Measurement(r, np.ones(5), ch, seed=0))
         res = decode_gf2_bp(-llrs, h)
         assert np.array_equal(res.pixels, true_bits)
         # exhaustive ML oracle agrees
@@ -669,3 +668,7 @@ class TestDecodeGf2Bp:
         llrs = np.random.default_rng(2).normal(0, 1, 5)
         res = decode_gf2_bp(-llrs, h, BpOptions(max_iters=1))
         assert res.diagnostics.iterations_run == 1
+
+    def test_rejects_stall_window_below_one(self):
+        with pytest.raises(ValueError, match="^stall_window must be >= 1$"):
+            BpOptions(stall_window=0)

@@ -16,6 +16,7 @@ from codedgi import (
     Measurement,
     build_generator,
     count_loglik,
+    onoff_logits,
     patterns_from_generator,
     random_speckle,
     receiver_gains,
@@ -195,6 +196,15 @@ class TestSceneImage:
         with pytest.raises(ValueError, match="reflectance values"):
             SceneImage(2, 1, [math.nan, 1.0])
 
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0), (-1, -1)])
+    def test_rejects_non_positive_dimensions(self, width, height):
+        with pytest.raises(ValueError, match="scene dimensions must be positive"):
+            SceneImage(width, height, [])
+
+    def test_rejects_reflectance_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="reflectance length"):
+            SceneImage(2, 2, [0.0, 1.0, 0.5])
+
 
 class TestMeasurement:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -211,6 +221,10 @@ class TestMeasurement:
     def test_rejects_negative_fading(self):
         with pytest.raises(ValueError, match="non-negative"):
             Measurement(bucket=np.ones(2), fading_mag=[0.5, -0.1], channel=ChannelParams(), seed=0)
+
+    def test_rejects_bucket_and_fading_of_different_lengths(self):
+        with pytest.raises(ValueError, match="bucket and fading_mag lengths differ"):
+            Measurement(bucket=np.ones(3), fading_mag=np.ones(2), channel=ChannelParams(), seed=0)
 
 
 class TestChannelParams:
@@ -290,11 +304,10 @@ class TestReceiverModel:
 
 
 def onoff_llr(r, h_mag, ch):
-    """GF(2) channel LLR log p(r | count 0) / p(r | count 1), as the harness forms it."""
+    """GF(2) channel LLR log p(r | 0) / p(r | 1), minus the on-off logit."""
     r = np.atleast_1d(np.asarray(r, dtype=np.float64))
     m = Measurement(bucket=r, fading_mag=np.broadcast_to(h_mag, r.shape), channel=ch, seed=0)
-    loglik = count_loglik(m, (0, 1))
-    return loglik[:, 0] - loglik[:, 1]
+    return -onoff_logits(m)
 
 
 class TestOnOffLlr:
@@ -311,9 +324,8 @@ class TestOnOffLlr:
         ch = ChannelParams.at_snr_db(snr_db, 2.0, "rayleigh", csi)
         m = transmit(np.random.default_rng(4).integers(0, 2, 512), ch, seed=5)
         a = receiver_gains(m)
-        loglik = count_loglik(m, (0, 1))
         np.testing.assert_allclose(
-            loglik[:, 0] - loglik[:, 1], a * (a - 2.0 * m.bucket) / ch.n0, rtol=0, atol=1e-12
+            onoff_logits(m), a * (2.0 * m.bucket - a) / ch.n0, rtol=0, atol=1e-12
         )
 
     def test_strictly_decreasing_in_r(self):
@@ -360,6 +372,15 @@ class TestMeasurementCsv:
         path.write_text("".join(lines[:-3] + [rows[i] for i in order]))
         with pytest.raises(ValueError, match=f"line {line}: index '{index}', expected {expected}"):
             load_measurement_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "meas.csv"
+        m = transmit(np.arange(3.0), ChannelParams(n0=0.5), seed=4)
+        save_measurement_csv(m, path)
+        path.write_text(path.read_text().replace("\n", "\n\n"))
+        m2 = load_measurement_csv(path)
+        np.testing.assert_array_equal(m2.bucket, m.bucket)
+        np.testing.assert_array_equal(m2.fading_mag, m.fading_mag)
 
     @pytest.mark.parametrize("flag", ["2", "-1", "yes", "1.0", ""])
     def test_csi_flag_must_be_0_or_1(self, tmp_path, flag):

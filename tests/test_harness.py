@@ -138,6 +138,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("degree = 300\nwidth = 8\nheight = 8\n")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("width", 0, "plane dimensions must be positive"),
+            ("height", -2, "plane dimensions must be positive"),
+            ("sampling", 0, "sampling multiplier must be >= 1"),
+            ("threads", 0, "threads must be >= 1"),
+            ("speckle_duty", 0.0, r"speckle_duty must lie in \(0, 1\]"),
+            ("speckle_duty", 1.5, r"speckle_duty must lie in \(0, 1\]"),
+            ("gray_bits", 0, "gray_bits must be >= 1"),
+        ],
+    )
+    def test_validate_ranges(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_cfg(**{field: value}).validate()
+
+    def test_unknown_scene_rejected(self):
+        with pytest.raises(ConfigError, match="scene 'teapot' is neither builtin"):
+            load_scene(tiny_cfg(scene="teapot"))
+
     def test_sweep_ber_needs_parity_symbols(self, tmp_path):
         # the sweep's bound needs N = sampling * K > K; fail before any trial runs
         out = tmp_path / "s1"
@@ -437,6 +457,12 @@ class TestManifestReplay:
         with pytest.raises(ConfigError, match="^scene "):
             run_experiment(tiny_cfg(scene=str(scene), out=str(out)))
         assert not out.exists()
+
+    def test_manifest_without_config_section_rejected(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        path.write_text("# codedgi run manifest\n[seeds]\ntrial0 = 1\n")
+        with pytest.raises(ConfigError, match="has no \\[config\\] section"):
+            read_manifest_config(path)
 
     def test_replay_reproduces_bytes(self, tmp_path):
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "first"), snr_db=10.0)

@@ -133,6 +133,16 @@ class TestGrayscaleStack:
         with pytest.raises(ValueError):
             FrameStack(2, 1, [np.array([0.5, 1.0])])
 
+    def test_frames_are_one_uint8_array(self):
+        frames = [np.array([1, 0, 1]), np.array([True, True, False])]
+        stack = FrameStack(3, 1, frames)
+        assert stack.frames.dtype == np.uint8
+        np.testing.assert_array_equal(stack.frames, [[1, 0, 1], [1, 1, 0]])
+        again = FrameStack(3, 1, stack.frames[:1])
+        np.testing.assert_array_equal(grayscale_stack(again).reflectance, [1.0, 0.0, 1.0])
+        with pytest.raises(ValueError):
+            FrameStack(2, 2, [np.zeros(4), np.zeros(3)])
+
 
 class TestMeanAbsError:
     def test_zero_for_identical(self):
@@ -143,3 +153,9 @@ class TestMeanAbsError:
         a = SceneImage(2, 1, np.array([0.0, 1.0]))
         b = SceneImage(2, 1, np.array([0.5, 0.5]))
         assert mean_abs_error(a, b) == 0.5
+
+    def test_dimension_mismatch(self):
+        a = SceneImage(2, 2, np.zeros(4))
+        b = SceneImage(4, 1, np.zeros(4))
+        with pytest.raises(ValueError, match="image dimensions differ"):
+            mean_abs_error(a, b)

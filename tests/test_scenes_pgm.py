@@ -116,3 +116,39 @@ class TestPgm:
         gray = np.rint(scene.reflectance * 255).astype(int)
         p2.write_text("P2\n16 16\n255\n" + " ".join(map(str, gray)) + "\n")
         np.testing.assert_array_equal(read_pgm(p5)[2], read_pgm(p2)[2])
+
+    def test_write_of_the_wrong_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="values length must equal width\\*height"):
+            write_pgm(tmp_path / "x.pgm", 2, 2, np.zeros(3))
+
+    @pytest.mark.parametrize("first, magic", [(b"P6", "P6"), (b"P2x", "P2x"), (b"#P2", "P7")])
+    def test_bad_magic_rejected(self, tmp_path, first, magic):
+        # "#P2" opens a comment, so the magic read is the next token
+        path = tmp_path / "m.pgm"
+        path.write_bytes(first + b"\nP7 1 1\n255\n0\n")
+        with pytest.raises(ValueError, match=f"unsupported PGM magic b'{magic}'"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("text", [b"", b"P5\n", b"P2 2 2", b"P2\n2 2\n# 255\n"])
+    def test_truncated_header_rejected(self, tmp_path, text):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(text)
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("pixels", ["0 1 2", "0 1 2 3 4"])
+    def test_p2_pixel_count_checked(self, tmp_path, pixels):
+        path = tmp_path / "n.pgm"
+        path.write_text(f"P2\n2 2\n255\n{pixels}\n")
+        with pytest.raises(ValueError, match=f"expected 4 pixels, got {len(pixels.split())}"):
+            read_pgm(path)
+
+    def test_comment_rules(self, tmp_path):
+        # a '#' after a blank opens a comment to the end of its line, also among
+        # P2 pixels; a '#' inside a token is part of it, so "2#" is no number
+        path = tmp_path / "c.pgm"
+        path.write_text("P2 #x\n2 1 255\n# 9 9\n7 #8\n 3\n# end without a newline")
+        assert read_pgm(path)[2].tolist() == [7 / 255, 3 / 255]
+        path.write_text("P2\n2# 1\n255\n0 0\n")
+        with pytest.raises(ValueError, match="invalid literal"):
+            read_pgm(path)
