@@ -17,7 +17,10 @@ whichever decoder ran it, so later iterations and trials of one shape
 build nothing. What stays resident between decodes is that decode's
 groups: at the paper scale (one shape, B = 1024, d = 128) about 23 MB of
 sum-BP plans or 6.4 MB of GF(2) groups, and 18.6 MB of plans for the 47
-pattern sizes of random_speckle(256, 512, 0.5, seed=3).
+pattern sizes of random_speckle(256, 512, 0.5, seed=3). While it runs, a
+sum-BP decode also keeps a copy of its plans' `p` for each iteration it
+computes (see `_flood`), 16 KB each at the desk scale and 1 MB at the
+paper scale, freed when it returns.
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
@@ -56,13 +59,17 @@ Undamped loopy BP often settles into an exact cycle of message states. Each
 decoder hands the buffers of its message state to one `_CycleWatch`, which
 `_flood` asks after every failed stop test; once it has found a repeat of
 period p and proved that the stop rule can no longer fire, the decode stops
-there, not converged, and returns the iterate it computed last. Its result
-therefore never depends on max_iters beyond that point, and
-`DecodeDiagnostics.iterations_run` is always the number of iterations computed.
+there, not converged, and returns the result of its last iteration. Its
+result therefore never depends on max_iters beyond that point. Sum BP's
+stall rule waits out its window after the repeat, so `_flood` replays the
+iterations after a sum-BP decode's first exact repeat from copies instead
+of computing them. `DecodeDiagnostics.iterations_run` counts the iterations
+run, replayed ones included, and the result is that last iteration's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -104,11 +111,11 @@ class BpOptions:
 class DecodeDiagnostics:
     """How a decode ended.
 
-    `iterations_run` is the number of iterations computed; the result is the
-    last one's. `cycle_period` is the period of an exact repeat of the
-    message state found before the last iteration, 0 when none was. A decode
-    that is not converged and stopped before max_iters ended on a certified
-    limit cycle.
+    `iterations_run` is the number of iterations run, replayed ones included;
+    the result is that iteration's. `cycle_period` is the period of an exact
+    repeat of the message state found before the last iteration, 0 when
+    none was. A decode that is not converged and stopped before max_iters
+    ended on a certified limit cycle.
     """
 
     iterations_run: int
@@ -190,8 +197,8 @@ class _CheckPlan:
 
     A uniform pass, one whose `p` holds one value per check, has equal
     leaves, so every node of a level holds the same pmf and receives the
-    same table. When `fill` set such a `p` since the last variable pass, as
-    at the start of each decode, and the tree has no padding leaf (d is a
+    same table. When `fill` set such a `p` since the last pass, as at the
+    start of each decode, and the tree has no padding leaf (d is a
     power of two), the pass checks that `p` is uniform and runs the same
     einsums on node 0 of each level only, node 0 standing in for its
     sibling, then copies leaf 0's message to every edge. Each number it
@@ -267,8 +274,9 @@ class _CheckPlan:
 
     def __call__(self) -> np.ndarray:
         """The check pass: (d, B) measurement->pixel logits in `msg`, from `p`."""
-        # only a pass between `fill` and the next variable pass pays for the test
+        # only the first pass after `fill` pays for the test
         uniform = self._filled and (self.p == self.p[0]).all()
+        self._filled = False
         p, q, up, down, m0, m1, msg = self._node0 if uniform else self._full
         np.subtract(1.0, p, out=q)
         for windows, odds, out in up:
@@ -286,7 +294,6 @@ class _CheckPlan:
         if self.damping > 0:
             outgoing = (1.0 - self.damping) * outgoing + self.damping * self.p
         np.clip(outgoing, MSG_FLOOR, 1.0 - MSG_FLOOR, out=self.p)
-        self._filled = False
 
 
 _cache = threading.local()
@@ -357,17 +364,43 @@ def _flood(checks, prior, groups, n: int, max_iters: int, watch: _CycleWatch):
     whose rule fires does not resume. The schedule then ends at max_iters or
     once `watch` certifies that the rule can never fire, so no variable pass
     follows the last iteration; otherwise it runs every variable pass.
+
+    The state in `watch.state` determines the rest of the decode, so once it
+    equals that of an earlier iteration exactly, the iterations from that
+    one on repeat. A stop rule with memory waits out its window after the
+    repeat, so for one (sum BP) each computed iteration but the last keeps
+    a copy of its state and its total, looked up by the total's bytes. From
+    the first repeat on each iteration is replayed: its recorded state is
+    copied back into the buffers, its recorded total is yielded, and no pass
+    runs. Watch, stop rule and caller see every iteration as if computed.
     """
     beliefs = [check.msg.T for check in checks]  # (B, d) views: _totals adds in edge order
+    history, seen, replay = [], {}, None
     for iteration in range(1, max_iters + 1):
-        for check in checks:
-            check()
-        total = _totals(prior, groups, beliefs, n)
+        if replay is None:
+            for check in checks:
+                check()
+            total = _totals(prior, groups, beliefs, n)
+        else:
+            state, total = next(replay)
+            for buf, kept in zip(watch.state, state):
+                buf[...] = kept
         yield total
         if iteration == max_iters or watch.ends(iteration):
             return
-        for check in checks:
-            check.variable_pass(total)
+        if replay is None and watch.memory:
+            same = seen.setdefault(hash(total.tobytes()), [])
+            for j in same:
+                if all(map(np.array_equal, watch.state, history[j][0])):
+                    # this iteration repeats history[j]: replay the ones after it
+                    replay = itertools.cycle(history[j + 1 :] + history[j : j + 1])
+                    break
+            else:
+                same.append(len(history))
+                history.append(([s.copy() for s in watch.state], total))
+        if replay is None:
+            for check in checks:
+                check.variable_pass(total)
 
 
 def decode_sum_bp(

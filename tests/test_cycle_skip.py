@@ -1,15 +1,19 @@
 """A certified BP limit cycle ends the decode: the oracle is the plain loop.
 
 Both decoders stop once their message state repeats exactly and their stop
-rule is certified never to fire again, and return the iterate they computed
-last. The plain loops they ran before, kept here verbatim as oracles,
-compute every iteration. Each decode must match its plain loop run for
-exactly `iterations_run` iterations, bit for bit in pixels, marginals,
-converged and residual; a decode that stopped on a cycle must be one the
-plain loop never converges on within max_iters.
+rule is certified never to fire again, and return the result of their last
+iteration. `iterations_run` counts the iterations run, replayed ones
+included: sum BP replays each iteration after its state's first exact
+repeat from a recorded copy instead of computing it. The plain loops the
+decoders ran before, kept here verbatim as oracles, compute every
+iteration. Each decode must match its plain loop run for exactly
+`iterations_run` iterations, bit for bit in pixels, marginals, converged
+and residual; a decode that stopped on a cycle must be one the plain loop
+never converges on within max_iters.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -256,11 +260,58 @@ def test_desk_results_do_not_depend_on_max_iters_parity():
         assert summary(even) == summary(odd)
 
 
+def flood_without_replay(checks, prior, groups, n, max_iters, watch):
+    """decoder._flood computing every iteration it yields, as before the replay."""
+    beliefs = [check.msg.T for check in checks]
+    for iteration in range(1, max_iters + 1):
+        for check in checks:
+            check()
+        total = _totals(prior, groups, beliefs, n)
+        yield total
+        if iteration == max_iters or watch.ends(iteration):
+            return
+        for check in checks:
+            check.variable_pass(total)
+
+
+def compare_without_replay(monkeypatch, m, ens, opts):
+    """compare_sum_bp, then the same decode bit for bit with every iteration computed."""
+    fast = compare_sum_bp(m, ens, opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(decoder, "_flood", flood_without_replay)
+        slow = decode_sum_bp(m, ens, opts)
+    assert np.array_equal(fast.pixels, slow.pixels)
+    assert fast.marginals.tobytes() == slow.marginals.tobytes()
+    assert fast.diagnostics == slow.diagnostics
+    return fast
+
+
+def count_check_passes(monkeypatch):
+    """Count each `_CheckPlan`'s check passes, by id, into the dict returned."""
+    counts = {}
+    real = decoder._CheckPlan.__call__
+
+    def counted(self):
+        counts[id(self)] = counts.get(id(self), 0) + 1
+        return real(self)
+
+    monkeypatch.setattr(decoder._CheckPlan, "__call__", counted)
+    return counts
+
+
+def computed_iterations(counts):
+    """The iterations the latest decode computed: each of its plans ran that many check passes."""
+    (n,) = {counts.get(id(plan), 0) for plan in decoder._cache.groups.values()}
+    return n
+
+
 def test_iterations_run_counts_the_variable_passes(monkeypatch):
-    # bench/tracing.py reads iterations_run as the work a decode did, and
-    # each iteration sums the variables' incoming messages once, in _totals;
-    # each group runs one variable pass between two iterations, and none
-    # after the last
+    # each computed iteration sums the variables' incoming messages once, in
+    # _totals; each group runs one variable pass between two computed
+    # iterations, and none after the last. Sum BP replays the iterations
+    # after its state's first exact repeat, so a decode that ends on a cycle
+    # computes fewer iterations than it reports (counts, not wall time);
+    # GF(2) BP replays none
     calls = []
     real = decoder._totals
     monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
@@ -273,15 +324,25 @@ def test_iterations_run_counts_the_variable_passes(monkeypatch):
             return real_pass(self, total)
 
         monkeypatch.setattr(group, "variable_pass", counted)
+    checks = count_check_passes(monkeypatch)
+    cycles = 0
     for seed in range(10):
         m, ens = desk_case(seed)
         diag = decode_sum_bp(m, ens).diagnostics
-        # one pass per iteration, after the one that folds degree-1 checks in
-        assert len(calls) == diag.iterations_run + 1
+        computed = computed_iterations(checks)
+        # one sum per computed iteration, after the one that folds degree-1 checks in
+        assert len(calls) == computed + 1
         plans = decoder._cache.groups.values()
-        assert [passes.get(id(plan), 0) for plan in plans] == [diag.iterations_run - 1] * len(plans)
+        assert [passes.get(id(plan), 0) for plan in plans] == [computed - 1] * len(plans)
+        if stopped_on_cycle(diag, BpOptions().max_iters):
+            cycles += 1
+            assert computed < diag.iterations_run
+        # iterations_run is the plain loop's, replayed iterations included
+        assert compare_without_replay(monkeypatch, m, ens, BpOptions()).diagnostics == diag
         calls.clear()
         passes.clear()
+        checks.clear()
+    assert cycles > 0
     for period in range(1, 31):
         llrs, h = ring_code(period, frustrated=False)
         diag = decode_gf2_bp(-llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
@@ -290,6 +351,86 @@ def test_iterations_run_counts_the_variable_passes(monkeypatch):
         assert list(passes.values()) == [diag.iterations_run] * len(h.rows.groups)
         calls.clear()
         passes.clear()
+
+
+def test_first_repeat_at_the_second_last_iteration(monkeypatch):
+    # desk seed 0 first repeats its state at iteration 10: with max_iters 11
+    # only the last iteration is replayed, and with max_iters 10 none is,
+    # since the last iteration records nothing
+    checks = count_check_passes(monkeypatch)
+    m, ens = desk_case(0)
+    for max_iters in (11, 10):
+        opts = BpOptions(max_iters=max_iters)
+        checks.clear()
+        diag = decode_sum_bp(m, ens, opts).diagnostics
+        assert computed_iterations(checks) == 10
+        assert (diag.iterations_run, diag.converged) == (max_iters, False)
+        compare_without_replay(monkeypatch, m, ens, opts)
+
+
+@pytest.mark.parametrize("seed", [9, 138, 142])
+def test_fixed_point_converges_during_replay(monkeypatch, seed):
+    # the state repeats with period 1 and the stall rule fires on a replayed
+    # iteration (one case is damped): the decode still converges
+    checks = count_check_passes(monkeypatch)
+    m, ens, opts = random_case(seed)
+    diag = decode_sum_bp(m, ens, opts).diagnostics
+    assert diag.converged and diag.cycle_period == 1
+    assert computed_iterations(checks) < diag.iterations_run
+    compare_without_replay(monkeypatch, m, ens, opts)
+
+
+def test_empty_state_replays_from_the_second_iteration(monkeypatch):
+    # every check of degree 1: no plan, so the state list is empty and the
+    # second iteration repeats the first; the rest are replayed
+    calls = []
+    real = decoder._totals
+    monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
+    k = 9
+    ens = IlluminationEnsemble(k, SparseRows.of([np.array([i]) for i in range(k)]))
+    scene = SceneImage(3, 3, np.array([1.0, 0, 1, 0, 1, 0, 1, 1, 0]))
+    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.0, fading="none"), seed=0)
+    for window in (1, 3, 5):
+        opts = BpOptions(stall_window=window)
+        calls.clear()
+        diag = decode_sum_bp(m, ens, opts).diagnostics
+        assert (diag.iterations_run, diag.converged) == (window + 1, True)
+        # the prior's sum, then iterations 1 and 2
+        assert len(calls) == 1 + min(window + 1, 2)
+        compare_without_replay(monkeypatch, m, ens, opts)
+
+
+def test_equal_totals_alone_start_no_replay(monkeypatch):
+    # a blank scene seen without noise: every count is 0, so each check sends
+    # the floor message whatever its `p`, and every iteration's total is the
+    # same, while damping halves `p` on each variable pass; the state never
+    # repeats, so nothing is replayed and no cycle is found
+    checks = count_check_passes(monkeypatch)
+    _, ens = desk_case(0)
+    scene = SceneImage(16, 16, np.zeros(256))
+    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.0, fading="none"), seed=0)
+    opts = BpOptions(stall_window=10, damping=0.5)
+    diag = decode_sum_bp(m, ens, opts).diagnostics
+    assert (diag.iterations_run, diag.converged, diag.cycle_period) == (10, True, 0)
+    assert computed_iterations(checks) == 10
+    compare_without_replay(monkeypatch, m, ens, opts)
+
+
+def test_replay_history_is_freed_on_return():
+    m, ens = desk_case(0)
+    decode_sum_bp(m, ens)  # the cached plans stay resident by design: build them first
+    state_bytes = sum(plan.p.nbytes for plan in decoder._cache.groups.values())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = decode_sum_bp(m, ens)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 10 iterations computed, the first 9 of them recorded
+    assert peak - before >= 9 * state_bytes
+    assert after - before < state_bytes
+    assert res.diagnostics.iterations_run == 12
 
 
 def random_case(seed):

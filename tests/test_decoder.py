@@ -551,6 +551,19 @@ class TestCheckPlans:
         checks = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
         assert set(decoder._cache.groups) == cache_keys(_CheckPlan, checks)
 
+    def test_one_pass_decode_leaves_no_uniform_flag(self):
+        # a decode of max_iters 1 runs its first check pass and no variable
+        # pass; a later caller that writes p without `fill` gets a full pass
+        opts = BpOptions(max_iters=1)
+        coded_decode(_CheckPlan, 64, 128, DegreeDistribution.regular(8), 5, opts)
+        (plan,) = decoder._cache.groups.values()
+        assert not plan._filled
+        fresh = _CheckPlan(*plan.p.T.shape)
+        fresh.lik[...] = plan.lik
+        p = np.random.default_rng(5).uniform(0.1, 0.9, plan.p.shape)
+        plan.p[...] = fresh.p[...] = p
+        assert plan().tobytes() == fresh().tobytes()
+
     @GROUP_CLASSES
     def test_cached_groups_hold_no_decode_input(self, cls):
         # the groups outlive the decode in the cache; a group that kept a
