@@ -36,6 +36,7 @@ from .decoder import (
     DecodeResult,
     decode_gf2_bp,
     decode_sum_bp,
+    moment_prior,
 )
 from .baselines import (
     Reconstruction,

@@ -124,6 +124,39 @@ def ber_lower_bound(params: BoundParams) -> float:
     return rayleigh_ber(params.gamma) + decoding_error_term(params)
 
 
+def _q(x: float) -> float:
+    """The Gaussian tail probability Q(x)."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def genie_ber(params: BoundParams, rho: float) -> float:
+    """BER of bitwise MAP with CSI when a genie reveals every other pixel.
+
+    A lower bound, over Bernoulli(rho) scenes, on the BER of any decoder
+    with or without CSI. Pixel i is then seen on L = 1 + J branches, its
+    singleton shot and the J parity columns that hold it, J ~ Binomial(N-K, a).
+    Maximal-ratio combining makes the error, with S = sum |h_j|^2 ~ Gamma(L, 1),
+    u = sqrt(2 Es S / N0) and t = ln((1 - rho) / rho),
+
+        E[(1 - rho) Q(u/2 + t/u) + rho Q(u/2 - t/u)],
+
+    each Gamma(L, 1) mean one 100-node Gauss-Laguerre sum.
+    """
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
+    s, lam = np.polynomial.laguerre.laggauss(100)
+    u = np.sqrt(2.0 * params.gamma * s)
+    t = math.log((1.0 - rho) / rho)
+    error = np.array([
+        (1.0 - rho) * _q(x / 2.0 + t / x) + rho * _q(x / 2.0 - t / x) for x in u.tolist()
+    ])
+    weights = _binom_weights(params)
+    branches = np.arange(len(weights))  # L - 1
+    log_gamma = np.array([math.lgamma(b + 1.0) for b in branches.tolist()])
+    density = np.exp(branches[:, None] * np.log(s)[None, :] - log_gamma[:, None])
+    return float(weights @ (density @ (lam * error)))
+
+
 def bound_sweep(
     k_info: int,
     n_total: int,

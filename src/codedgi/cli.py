@@ -31,6 +31,7 @@ from .harness import (
     RunConfig,
     load_config,
     parse_distribution,
+    parse_prior,
     read_scene,
     run_experiment,
 )
@@ -188,7 +189,9 @@ def build_parser() -> argparse.ArgumentParser:
     bp = BpOptions()
     p.add_argument("--max-iters", type=int, default=bp.max_iters)
     p.add_argument("--damping", type=float, default=bp.damping, help="message damping")
-    p.add_argument("--prior", type=float, default=bp.prior, help="prior P(pixel = 1)")
+    p.add_argument(
+        "--prior", type=parse_prior, default=bp.prior, help="prior P(pixel = 1), or auto to estimate it"
+    )
     p.add_argument("--out", required=True)
 
     p = command("bound", _cmd_bound, "evaluate the analytic BER lower bound")

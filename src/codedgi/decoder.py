@@ -17,10 +17,7 @@ whichever decoder ran it, so later iterations and trials of one shape
 build nothing. What stays resident between decodes is that decode's
 groups: at the paper scale (one shape, B = 1024, d = 128) about 23 MB of
 sum-BP plans or 6.4 MB of GF(2) groups, and 18.6 MB of plans for the 47
-pattern sizes of random_speckle(256, 512, 0.5, seed=3). While it runs, a
-sum-BP decode also keeps a copy of its plans' `p` for each iteration it
-computes (see `_flood`), 16 KB each at the desk scale and 1 MB at the
-paper scale, freed when it returns.
+pattern sizes of random_speckle(256, 512, 0.5, seed=3).
 
 - decode_sum_bp: sum-product on the pixel/measurement graph. Measurement j
   observes the integer count of lit pixels among its neighbors through the
@@ -59,20 +56,17 @@ Undamped loopy BP often settles into an exact cycle of message states. Each
 decoder hands the buffers of its message state to one `_CycleWatch`, which
 `_flood` asks after every failed stop test; once it has found a repeat of
 period p and proved that the stop rule can no longer fire, the decode stops
-there, not converged, and returns the result of its last iteration. Its
-result therefore never depends on max_iters beyond that point. Sum BP's
-stall rule waits out its window after the repeat, so `_flood` replays the
-iterations after a sum-BP decode's first exact repeat from copies instead
-of computing them. `DecodeDiagnostics.iterations_run` counts the iterations
-run, replayed ones included, and the result is that last iteration's.
+there, not converged, and returns the iterate it computed last. Its result
+therefore never depends on max_iters beyond that point, and
+`DecodeDiagnostics.iterations_run` is always the number of iterations computed.
+Damped decodes, the default, settle rather than cycle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,21 +82,21 @@ class BpOptions:
     """The decoder settings: the one place their names, defaults and ranges live.
 
     Both decoders take one; decode_gf2_bp reads only `max_iters`. `prior` is
-    the prior probability that a pixel is lit.
+    the prior probability that a pixel is lit, or "auto" for `moment_prior`.
     """
 
     max_iters: int = 50
     stall_window: int = 3
-    prior: float = 0.5
-    damping: float = 0.0
+    prior: float | str = "auto"
+    damping: float = 0.3
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.stall_window < 1:
             raise ValueError("stall_window must be >= 1")
-        if not 0.0 < self.prior < 1.0:
-            raise ValueError("prior must lie in (0, 1)")
+        if self.prior != "auto" and (isinstance(self.prior, str) or not 0.0 < self.prior < 1.0):
+            raise ValueError(f"prior must lie in (0, 1) or be 'auto', got {self.prior!r}")
         if not 0.0 <= self.damping < 1.0:
             raise ValueError("damping must lie in [0, 1)")
 
@@ -111,11 +105,11 @@ class BpOptions:
 class DecodeDiagnostics:
     """How a decode ended.
 
-    `iterations_run` is the number of iterations run, replayed ones included;
-    the result is that iteration's. `cycle_period` is the period of an exact
-    repeat of the message state found before the last iteration, 0 when
-    none was. A decode that is not converged and stopped before max_iters
-    ended on a certified limit cycle.
+    `iterations_run` is the number of iterations computed; the result is the
+    last one's. `cycle_period` is the period of an exact repeat of the
+    message state found before the last iteration, 0 when none was. A decode
+    that is not converged and stopped before max_iters ended on a certified
+    limit cycle.
     """
 
     iterations_run: int
@@ -364,43 +358,27 @@ def _flood(checks, prior, groups, n: int, max_iters: int, watch: _CycleWatch):
     whose rule fires does not resume. The schedule then ends at max_iters or
     once `watch` certifies that the rule can never fire, so no variable pass
     follows the last iteration; otherwise it runs every variable pass.
-
-    The state in `watch.state` determines the rest of the decode, so once it
-    equals that of an earlier iteration exactly, the iterations from that
-    one on repeat. A stop rule with memory waits out its window after the
-    repeat, so for one (sum BP) each computed iteration but the last keeps
-    a copy of its state and its total, looked up by the total's bytes. From
-    the first repeat on each iteration is replayed: its recorded state is
-    copied back into the buffers, its recorded total is yielded, and no pass
-    runs. Watch, stop rule and caller see every iteration as if computed.
     """
     beliefs = [check.msg.T for check in checks]  # (B, d) views: _totals adds in edge order
-    history, seen, replay = [], {}, None
     for iteration in range(1, max_iters + 1):
-        if replay is None:
-            for check in checks:
-                check()
-            total = _totals(prior, groups, beliefs, n)
-        else:
-            state, total = next(replay)
-            for buf, kept in zip(watch.state, state):
-                buf[...] = kept
+        for check in checks:
+            check()
+        total = _totals(prior, groups, beliefs, n)
         yield total
         if iteration == max_iters or watch.ends(iteration):
             return
-        if replay is None and watch.memory:
-            same = seen.setdefault(hash(total.tobytes()), [])
-            for j in same:
-                if all(map(np.array_equal, watch.state, history[j][0])):
-                    # this iteration repeats history[j]: replay the ones after it
-                    replay = itertools.cycle(history[j + 1 :] + history[j : j + 1])
-                    break
-            else:
-                same.append(len(history))
-                history.append(([s.copy() for s in watch.state], total))
-        if replay is None:
-            for check in checks:
-                check.variable_pass(total)
+        for check in checks:
+            check.variable_pass(total)
+
+
+def moment_prior(m: Measurement, ens: IlluminationEnsemble) -> float:
+    """The lit fraction by the method of moments, clipped to [0.02, 0.5].
+
+    E r_n = E|h| sqrt(Es) rho |pattern n|, so rho = sum r_n / sum g_n |pattern n|
+    with g the receiver's gains. It reads the buckets, never the scene.
+    """
+    reach = np.sum(receiver_gains(m) * ens.patterns.sizes)
+    return float(np.clip(np.sum(m.bucket) / reach, 0.02, 0.5)) if reach > 0 else 0.5
 
 
 def decode_sum_bp(
@@ -408,12 +386,15 @@ def decode_sum_bp(
 ) -> DecodeResult:
     """Sum-product over the count-observation factor graph, on `_flood`.
 
-    Pixel->measurement messages start at the prior. The stop rule: the hard
-    decisions are unchanged for stall_window consecutive iterations. Its
-    `_CycleWatch` watches each plan's `p`.
+    Pixel->measurement messages start at the prior, `moment_prior` when it
+    is "auto". The stop rule: the hard decisions are unchanged for
+    stall_window consecutive iterations. Its `_CycleWatch` watches each
+    plan's `p`.
     """
     opts = opts or BpOptions()
     ens.require_shots(m)
+    if opts.prior == "auto":
+        opts = replace(opts, prior=moment_prior(m, ens))
     k = ens.k_pixels
     unpinned = int((np.bincount(ens.patterns.flat, minlength=k) == 0).sum())
     prior_logit = math.log(opts.prior) - math.log1p(-opts.prior)

@@ -212,28 +212,39 @@ RAYLEIGH_MEAN_MAG = math.sqrt(math.pi) / 2.0  # mean |h| at unit second moment
 
 
 def receiver_gains(m: Measurement) -> np.ndarray:
-    """Per-shot gain |h_n| sqrt(Es) as the receiver sees it.
-
-    With CSI the true per-shot magnitudes are available; without it every
-    shot is assigned the ensemble-mean magnitude, which deliberately
-    mismatches the reconstruction against the realized fading.
-    """
+    """Per-shot gain sqrt(Es) times |h_n| with CSI, else times the mean magnitude E|h|."""
     mean = RAYLEIGH_MEAN_MAG if m.channel.fading == "rayleigh" else 1.0
     mag = m.fading_mag if m.channel.csi_known else np.full_like(m.fading_mag, mean)
     return mag * math.sqrt(m.channel.es)
 
 
 def count_loglik(m: Measurement, counts, shots=slice(None)) -> np.ndarray:
-    """(shots, counts) log p(r | count c) = -(r - g c)^2 / N0 + const, g the receiver's gain.
+    """(shots, counts) log p(r | count c), a Gaussian in r with mean g c, g the receiver's gain.
 
-    At N0 = 0, the exact-match indicator: 0 where |r - g c| <= 1e-9 max(1, |r|), else -inf.
+    With a known gain the variance is N0/2: -(r - g c)^2 / N0 + const, and
+    at N0 = 0 the exact-match indicator, 0 where |r - g c| <= 1e-9 max(1, |r|),
+    else -inf. Without CSI under Rayleigh fading the gain spreads a count's
+    return, so the variance is v_c = N0/2 + Es c^2 (1 - pi/4), the count's:
+    -(r - g c)^2 / (2 v_c) - log(v_c) / 2. At N0 = 0 count 0 is a point mass
+    at r = 0, fitting by the same rule and outweighing every density there.
     """
+    ch = m.channel
     r = m.bucket[shots][:, None]
-    mean = receiver_gains(m)[shots][:, None] * np.asarray(counts, dtype=np.float64)[None, :]
-    if m.channel.n0 == 0:
-        fits = np.abs(r - mean) <= 1e-9 * np.maximum(1.0, np.abs(r))
-        return np.where(fits, 0.0, -np.inf)
-    return -((r - mean) ** 2) / m.channel.n0
+    counts = np.asarray(counts, dtype=np.float64)[None, :]
+    mean = receiver_gains(m)[shots][:, None] * counts
+    if ch.csi_known or ch.fading == "none":
+        if ch.n0 == 0:
+            fits = np.abs(r - mean) <= 1e-9 * np.maximum(1.0, np.abs(r))
+            return np.where(fits, 0.0, -np.inf)
+        return -((r - mean) ** 2) / ch.n0
+    var = ch.n0 / 2.0 + ch.es * (1.0 - math.pi / 4.0) * counts**2
+    if ch.n0 > 0:
+        return -((r - mean) ** 2) / (2.0 * var) - 0.5 * np.log(var)
+    # N0 = 0: a reading of 0 fits count 0 alone, any other reading only counts >= 1
+    zero = np.abs(r) <= 1e-9 * np.maximum(1.0, np.abs(r))
+    var[counts == 0] = 1.0  # count 0's Gaussian column is never returned
+    gauss = -((r - mean) ** 2) / (2.0 * var) - 0.5 * np.log(var)
+    return np.where(zero == (counts == 0), np.where(zero, 0.0, gauss), -np.inf)
 
 
 def onoff_logits(m: Measurement) -> np.ndarray:

@@ -114,7 +114,7 @@ class RunConfig:
     max_iters: int = BpOptions.max_iters
     stall_window: int = BpOptions.stall_window
     damping: float = BpOptions.damping
-    prior: float = BpOptions.prior
+    prior: float | str = BpOptions.prior  # "auto": decoder.moment_prior
     gray_bits: int = 5
     speckle_duty: float = 0.15
     baseline_on_coded: bool = False
@@ -217,6 +217,11 @@ def parse_distribution(text: str) -> DegreeDistribution:
         raise ConfigError(f"bad degree distribution {text!r}: {exc}") from exc
 
 
+def parse_prior(text: str) -> float | str:
+    """A prior probability, or "auto" for `decoder.moment_prior`."""
+    return text if text == "auto" else float(text)
+
+
 def _uncommented(line: str) -> str:
     """A config line as the parser reads it: up to any '#', blanks at both ends cut."""
     return line.split("#", 1)[0].strip()
@@ -251,6 +256,8 @@ _BOOL_WORDS = {
 
 def _coerce(key: str, value: str, default):
     try:
+        if key == "prior":
+            return parse_prior(value)
         if isinstance(default, bool):
             return _BOOL_WORDS[value.lower()]
         if isinstance(default, int):

@@ -17,7 +17,7 @@ from codedgi import (
     decoding_error_term,
     rayleigh_ber,
 )
-from codedgi.bound import binom_weight_sum
+from codedgi.bound import binom_weight_sum, genie_ber
 
 
 def mp_bound_oracle(k, n, terms, es, n0, dps=60):
@@ -217,3 +217,41 @@ class TestBerLowerBound:
         for r in rows:
             assert r["p_b"] == r["p_ray"] + r["p_e"]
             assert r["gamma"] == pytest.approx(10 ** (r["snr_db"] / 10))
+
+
+class TestGenieBer:
+    """Bitwise MAP with CSI and every other pixel revealed, against its own simulation."""
+
+    @pytest.mark.parametrize("snr_db, rho", [(0.0, 0.16), (6.0, 0.16), (3.0, 0.5)])
+    def test_matches_monte_carlo_of_the_genie_receiver(self, snr_db, rho):
+        # pixel i is lit w.p. rho and seen on 1 + J branches, J ~ Binomial(N - K, a);
+        # with every other pixel known, each branch reads |h_j| sqrt(Es) x_i plus
+        # noise, and the receiver weighs them by |h_j| and thresholds at MAP
+        params = BoundParams(64, 128, DegreeDistribution.regular(4), 1.0,
+                             ChannelParams.at_snr_db(snr_db).n0)
+        rng = np.random.default_rng(7)
+        n, a = 400_000, avg_column_hit_prob(params.dist, params.k_info)
+        branches = 1 + rng.binomial(params.n_total - params.k_info, a, n)
+        gain = rng.gamma(branches, 1.0)  # sum of |h_j|^2
+        x = rng.random(n) < rho
+        sigma = math.sqrt(params.n0 / 2.0)
+        z = np.sqrt(gain) * x + rng.normal(0.0, sigma, n)  # the combined branch, scaled
+        t = math.log((1.0 - rho) / rho)
+        errors = ((z > np.sqrt(gain) / 2.0 + sigma**2 * t / np.sqrt(gain)) != x).mean()
+        want = genie_ber(params, rho)
+        assert abs(errors - want) < 4.0 * math.sqrt(want / n)
+
+    def test_below_the_paper_bound_and_falling_with_snr(self):
+        rows = [
+            BoundParams(256, 512, DegreeDistribution.regular(8), 1.0, ChannelParams.at_snr_db(s).n0)
+            for s in (0.0, 4.0, 8.0, 14.0)
+        ]
+        genie = [genie_ber(p, 0.16) for p in rows]
+        assert genie == sorted(genie, reverse=True)
+        assert all(g < ber_lower_bound(p) for g, p in zip(genie, rows))
+
+    @pytest.mark.parametrize("rho", [0.0, 1.0, math.nan])
+    def test_rejects_rho_outside_the_open_interval(self, rho):
+        params = BoundParams(8, 16, DegreeDistribution.regular(2), 1.0, 1.0)
+        with pytest.raises(ValueError, match="rho"):
+            genie_ber(params, rho)

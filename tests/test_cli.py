@@ -282,7 +282,7 @@ def test_decode_default_flags_keep_bytes(tmp_path, glyph_pgm, capsys):
     args = _decode_args(tmp_path, glyph_pgm)
     omitted, explicit = tmp_path / "omitted.pgm", tmp_path / "explicit.pgm"
     assert main([*args, "--out", str(omitted)]) == 0
-    assert main([*args, "--damping", "0", "--prior", "0.5", "--out", str(explicit)]) == 0
+    assert main([*args, "--damping", "0.3", "--prior", "auto", "--out", str(explicit)]) == 0
     assert omitted.read_bytes() == explicit.read_bytes()
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2].split("(")[1] == lines[-1].split("(")[1]
@@ -317,6 +317,24 @@ def test_decode_flags_reach_bp_options(tmp_path, glyph_pgm, monkeypatch):
     seen = _spy_on_decode(monkeypatch)
     assert main([*args, "--out", str(tmp_path / "d.pgm")]) == 0
     assert (seen[0].damping, seen[0].prior) == (0.3, 0.2)
+    args = _decode_args(tmp_path, glyph_pgm, "--damping", "0", "--prior", "auto")
+    assert main([*args, "--out", str(tmp_path / "d.pgm")]) == 0
+    assert (seen[1].damping, seen[1].prior) == (0.0, "auto")
+
+
+@pytest.mark.parametrize("prior", ["0", "nan"])
+def test_decode_rejects_a_prior_outside_the_open_interval(tmp_path, glyph_pgm, prior, capsys):
+    args = _decode_args(tmp_path, glyph_pgm, "--prior", prior)
+    assert main([*args, "--out", str(tmp_path / "d.pgm")]) == 2
+    assert "prior must lie in (0, 1) or be 'auto'" in capsys.readouterr().err
+
+
+def test_decode_rejects_prior_text_other_than_auto(tmp_path, glyph_pgm, capsys):
+    args = _decode_args(tmp_path, glyph_pgm, "--prior", "automatic")
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "d.pgm")])
+    assert exc.value.code == 2
+    assert "--prior" in capsys.readouterr().err
 
 
 def test_decode_defaults_are_bp_options(tmp_path, glyph_pgm, monkeypatch):

@@ -4,9 +4,12 @@ A row of `harness._DECODERS` takes (cfg, g, scene, ch, seed), acquires the
 scene with code g over channel ch, and decodes it. Each test here runs once
 per row of `harness.DECODER_MODES`:
 
-- noiseless recovery: with N0 = 0 and CSI the decode is exact;
+- noiseless recovery: with N0 = 0 the decode is exact, with CSI or without;
 - bitwise MAP: on small loopy codes the hard decisions are those of the
   exhaustive posterior over all 2^K scenes, with CSI, at 10 and 14 dB;
+  without CSI the posterior is scored with the exact fading density, and
+  the sum-constraint row, whose receiver is that density's moment-matched
+  Gaussian, must agree on all but one of the 40 instances;
 - every trial's acquisition and decode go through the harness's module
   globals, which the benchmark's tracer and test_cycle_skip patch.
 
@@ -32,7 +35,7 @@ from codedgi import (
 )
 from codedgi import harness
 from codedgi.harness import DECODER_MODES, RunConfig, run_experiment
-from oracles import exhaustive_marginals
+from oracles import exhaustive_marginals, fading_loglik
 
 # The noiseless symbols each row's acquisition sees: the scene's pattern
 # counts, or their parities, which are the scene's codeword bits.
@@ -61,6 +64,19 @@ def test_noiseless_decode_is_exact(mode):
         g = build_generator(CodeSpec(256, 512, DegreeDistribution.regular(8), seed=idx))
         result = harness._DECODERS[mode](cfg, g, scene, ch, 100 + idx)
         assert np.array_equal(result.pixels, scene.reflectance.astype(np.uint8)), idx
+
+
+@pytest.mark.parametrize("mode", DECODER_MODES)
+def test_noiseless_decode_without_csi_is_exact(mode):
+    # desk glyphs with N0 = 0 and the fading unknown: count 0 is the point
+    # mass at r = 0, so a shot that reads more than 0 holds a lit pixel
+    cfg = RunConfig(decoder_mode=mode, width=16, height=16, sampling=2, degree=8)
+    ch = ChannelParams(es=1.0, n0=0.0, fading="rayleigh", csi_known=False)
+    scene = builtin_scene("glyphs", 16, 16)
+    for seed in (3, 4, 5):
+        g = build_generator(CodeSpec(256, 512, DegreeDistribution.regular(8), seed=seed))
+        result = harness._DECODERS[mode](cfg, g, scene, ch, seed + 1)
+        assert np.array_equal(result.pixels, scene.reflectance.astype(np.uint8)), seed
 
 
 def map_instance(mode, seed):
@@ -93,6 +109,24 @@ def test_hard_decisions_are_bitwise_map(mode, snr_db, acquired):
         if not np.array_equal(result.pixels, post > 0.5):
             disagree.append(seed)
     assert disagree == []
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 14.0])
+def test_hard_decisions_are_bitwise_map_without_csi(snr_db, acquired):
+    # the GF(2) row sees only counts 0 and 1 through the same Gaussian; at
+    # 10 dB it disagrees on 3 of these instances, so it is not gated here
+    ch = ChannelParams.at_snr_db(snr_db, 1.0, "rayleigh", csi_known=False)
+    exact = lambda m, counts: fading_loglik(m.bucket, counts, m.channel)
+    disagree = []
+    for seed in range(40):
+        cfg, g, scene = map_instance("sum-constraint", seed)
+        result = harness._DECODERS["sum-constraint"](cfg, g, scene, ch, seed)
+        (m,) = acquired
+        acquired.clear()
+        post = exhaustive_marginals(m, patterns_from_generator(g), cfg.prior, loglik=exact)
+        if not np.array_equal(result.pixels, post > 0.5):
+            disagree.append(seed)
+    assert len(disagree) <= 1, disagree
 
 
 @pytest.mark.parametrize("mode", DECODER_MODES)

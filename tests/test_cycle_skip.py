@@ -1,15 +1,14 @@
 """A certified BP limit cycle ends the decode: the oracle is the plain loop.
 
 Both decoders stop once their message state repeats exactly and their stop
-rule is certified never to fire again, and return the result of their last
-iteration. `iterations_run` counts the iterations run, replayed ones
-included: sum BP replays each iteration after its state's first exact
-repeat from a recorded copy instead of computing it. The plain loops the
+rule is certified never to fire again, and return the iterate they computed
+last; `iterations_run` counts the iterations computed. The plain loops the
 decoders ran before, kept here verbatim as oracles, compute every
 iteration. Each decode must match its plain loop run for exactly
 `iterations_run` iterations, bit for bit in pixels, marginals, converged
 and residual; a decode that stopped on a cycle must be one the plain loop
-never converges on within max_iters.
+never converges on within max_iters. Damped decodes, the default, settle
+rather than cycle, so the cases that cycle are written undamped.
 """
 
 import math
@@ -165,8 +164,11 @@ def check_against(fast, max_iters, run_to):
 
 
 def compare_sum_bp(m, ens, opts):
+    # the plain loop takes the prior as a number
+    prior = decoder.moment_prior(m, ens) if opts.prior == "auto" else opts.prior
+
     def run_to(n):
-        return plain_sum_bp(m, ens, replace(opts, max_iters=n))
+        return plain_sum_bp(m, ens, replace(opts, max_iters=n, prior=prior))
 
     return check_against(decode_sum_bp(m, ens, opts), opts.max_iters, run_to)
 
@@ -192,6 +194,10 @@ WORKLOADS = {
     ),
     "desk-gf2": dict(_DESK, decoder_mode="gf2"),
 }
+# Undamped BP, the study case whose decodes end on cycles. Without CSI the
+# count-variance receiver's undamped desk decodes run on without an exact
+# repeat, so the cycles come from the CSI receiver at prior 0.5.
+UNDAMPED = dict(damping=0.0, prior=0.5, csi_known=True)
 
 
 def run_trials(monkeypatch, cfg, trials):
@@ -215,6 +221,7 @@ def test_workload_trials_match_plain_loops(monkeypatch, name):
     diags = run_trials(monkeypatch, cfg, trials)
     assert len(diags) == trials * len(harness._points(cfg))
     if name in ("desk-ber", "desk-gf2"):  # undamped: some decodes end on a cycle
+        diags += run_trials(monkeypatch, replace(cfg, **UNDAMPED), trials)
         assert any(stopped_on_cycle(d, cfg.max_iters) for d in diags)
 
 
@@ -223,20 +230,20 @@ def summary(res):
     return d.iterations_run, d.converged, d.cycle_period
 
 
-def desk_case(seed):
-    """The desk config (16x16, degree 8, no CSI) at 8 dB on code seed `seed`."""
+def desk_case(seed, csi=False):
+    """The desk config (16x16, degree 8, no CSI unless `csi`) at 8 dB on code seed `seed`."""
     cfg = RunConfig(**_DESK)
     spec = CodeSpec(cfg.k_pixels, 2 * cfg.k_pixels, DegreeDistribution.regular(8), seed)
     ens = patterns_from_generator(build_generator(spec))
-    ch = ChannelParams.at_snr_db(8.0, cfg.es, cfg.fading, csi_known=False)
+    ch = ChannelParams.at_snr_db(8.0, cfg.es, cfg.fading, csi_known=csi)
     return sense(ens, load_scene(cfg), ch, seed), ens
 
 
 def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
-    # counts, not wall time: on the desk config at 8 dB no undamped decode
-    # converges, and each settles into an exact 2-cycle that ends it, most
-    # after 12 iterations
-    cfg = RunConfig(**_DESK, snr_db_list=(8.0,), damping=0.0)
+    # counts, not wall time: on the desk config at 8 dB with CSI and prior
+    # 0.5 no undamped decode converges, and each settles into an exact
+    # cycle that ends it, after 15.6 iterations on average
+    cfg = RunConfig(**{**_DESK, **UNDAMPED}, snr_db_list=(8.0,))
     seen = []
     real = harness.decode_sum_bp
     monkeypatch.setattr(harness, "decode_sum_bp", lambda *a: seen.append(real(*a)) or seen[-1])
@@ -250,187 +257,89 @@ def test_undamped_desk_decodes_compute_half_their_iterations(monkeypatch):
 
 
 def test_desk_results_do_not_depend_on_max_iters_parity():
-    # at 8 dB every undamped desk decode ends in a 2-cycle, whose two phases
-    # gave different pixels for max_iters 50 and 51 while the cycle ran on
+    # at 8 dB with CSI and prior 0.5 every undamped desk decode ends in a
+    # cycle, whose phases gave different pixels for max_iters 50 and 51
+    # while the cycle ran on
     for seed in range(20):
-        m, ens = desk_case(seed)
-        even, odd = (decode_sum_bp(m, ens, BpOptions(max_iters=n)) for n in (50, 51))
+        m, ens = desk_case(seed, csi=True)
+        even, odd = (
+            decode_sum_bp(m, ens, BpOptions(max_iters=n, damping=0.0, prior=0.5)) for n in (50, 51)
+        )
         assert np.array_equal(even.pixels, odd.pixels)
         assert even.marginals.tobytes() == odd.marginals.tobytes()
         assert summary(even) == summary(odd)
 
 
-def flood_without_replay(checks, prior, groups, n, max_iters, watch):
-    """decoder._flood computing every iteration it yields, as before the replay."""
-    beliefs = [check.msg.T for check in checks]
-    for iteration in range(1, max_iters + 1):
-        for check in checks:
-            check()
-        total = _totals(prior, groups, beliefs, n)
-        yield total
-        if iteration == max_iters or watch.ends(iteration):
-            return
-        for check in checks:
-            check.variable_pass(total)
-
-
-def compare_without_replay(monkeypatch, m, ens, opts):
-    """compare_sum_bp, then the same decode bit for bit with every iteration computed."""
-    fast = compare_sum_bp(m, ens, opts)
-    with monkeypatch.context() as patch:
-        patch.setattr(decoder, "_flood", flood_without_replay)
-        slow = decode_sum_bp(m, ens, opts)
-    assert np.array_equal(fast.pixels, slow.pixels)
-    assert fast.marginals.tobytes() == slow.marginals.tobytes()
-    assert fast.diagnostics == slow.diagnostics
-    return fast
-
-
-def count_check_passes(monkeypatch):
-    """Count each `_CheckPlan`'s check passes, by id, into the dict returned."""
+def counted_passes(monkeypatch):
+    """Count every group's check passes and variable passes, by (pass, id), into the dict returned."""
     counts = {}
-    real = decoder._CheckPlan.__call__
+    for group in (decoder._CheckPlan, decoder._ParityGroup):
+        for name in ("__call__", "variable_pass"):
+            real = getattr(group, name)
 
-    def counted(self):
-        counts[id(self)] = counts.get(id(self), 0) + 1
-        return real(self)
+            def counted(self, *args, name=name, real=real):
+                counts[name, id(self)] = counts.get((name, id(self)), 0) + 1
+                return real(self, *args)
 
-    monkeypatch.setattr(decoder._CheckPlan, "__call__", counted)
+            monkeypatch.setattr(group, name, counted)
     return counts
 
 
-def computed_iterations(counts):
-    """The iterations the latest decode computed: each of its plans ran that many check passes."""
-    (n,) = {counts.get(id(plan), 0) for plan in decoder._cache.groups.values()}
-    return n
-
-
 def test_iterations_run_counts_the_variable_passes(monkeypatch):
-    # each computed iteration sums the variables' incoming messages once, in
-    # _totals; each group runs one variable pass between two computed
-    # iterations, and none after the last. Sum BP replays the iterations
-    # after its state's first exact repeat, so a decode that ends on a cycle
-    # computes fewer iterations than it reports (counts, not wall time);
-    # GF(2) BP replays none
+    # each iteration runs every check pass and sums the variables' incoming
+    # messages once, in _totals; each group runs one variable pass between
+    # two iterations and none after the last, so iterations_run is the
+    # number of iterations computed, for decodes that converge, run out or
+    # end on a cycle
     calls = []
     real = decoder._totals
     monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
-    passes = {}
-    for group in (decoder._CheckPlan, decoder._ParityGroup):
-        real_pass = group.variable_pass
-
-        def counted(self, total, real_pass=real_pass):
-            passes[id(self)] = passes.get(id(self), 0) + 1
-            return real_pass(self, total)
-
-        monkeypatch.setattr(group, "variable_pass", counted)
-    checks = count_check_passes(monkeypatch)
+    passes = counted_passes(monkeypatch)
     cycles = 0
     for seed in range(10):
-        m, ens = desk_case(seed)
-        diag = decode_sum_bp(m, ens).diagnostics
-        computed = computed_iterations(checks)
-        # one sum per computed iteration, after the one that folds degree-1 checks in
-        assert len(calls) == computed + 1
-        plans = decoder._cache.groups.values()
-        assert [passes.get(id(plan), 0) for plan in plans] == [computed - 1] * len(plans)
-        if stopped_on_cycle(diag, BpOptions().max_iters):
-            cycles += 1
-            assert computed < diag.iterations_run
-        # iterations_run is the plain loop's, replayed iterations included
-        assert compare_without_replay(monkeypatch, m, ens, BpOptions()).diagnostics == diag
-        calls.clear()
-        passes.clear()
-        checks.clear()
+        for csi, opts in ((False, BpOptions()), (True, BpOptions(damping=0.0, prior=0.5))):
+            m, ens = desk_case(seed, csi)
+            diag = decode_sum_bp(m, ens, opts).diagnostics
+            n = diag.iterations_run
+            # one sum per iteration, after the one that folds degree-1 checks in
+            assert len(calls) == n + 1
+            for plan in decoder._cache.groups.values():
+                assert (passes["__call__", id(plan)], passes["variable_pass", id(plan)]) == (n, n - 1)
+            cycles += stopped_on_cycle(diag, opts.max_iters)
+            calls.clear()
+            passes.clear()
     assert cycles > 0
     for period in range(1, 31):
         llrs, h = ring_code(period, frustrated=False)
         diag = decode_gf2_bp(-llrs, h, BpOptions(max_iters=4 * period + 31)).diagnostics
         assert len(calls) == diag.iterations_run
         # the first variable pass is from the channel LLRs, before iteration 1
-        assert list(passes.values()) == [diag.iterations_run] * len(h.rows.groups)
+        for group in decoder._cache.groups.values():
+            assert passes["__call__", id(group)] == diag.iterations_run
+            assert passes["variable_pass", id(group)] == diag.iterations_run
         calls.clear()
         passes.clear()
 
 
-def test_first_repeat_at_the_second_last_iteration(monkeypatch):
-    # desk seed 0 first repeats its state at iteration 10: with max_iters 11
-    # only the last iteration is replayed, and with max_iters 10 none is,
-    # since the last iteration records nothing
-    checks = count_check_passes(monkeypatch)
-    m, ens = desk_case(0)
-    for max_iters in (11, 10):
-        opts = BpOptions(max_iters=max_iters)
-        checks.clear()
-        diag = decode_sum_bp(m, ens, opts).diagnostics
-        assert computed_iterations(checks) == 10
-        assert (diag.iterations_run, diag.converged) == (max_iters, False)
-        compare_without_replay(monkeypatch, m, ens, opts)
-
-
-@pytest.mark.parametrize("seed", [9, 138, 142])
-def test_fixed_point_converges_during_replay(monkeypatch, seed):
-    # the state repeats with period 1 and the stall rule fires on a replayed
-    # iteration (one case is damped): the decode still converges
-    checks = count_check_passes(monkeypatch)
-    m, ens, opts = random_case(seed)
-    diag = decode_sum_bp(m, ens, opts).diagnostics
-    assert diag.converged and diag.cycle_period == 1
-    assert computed_iterations(checks) < diag.iterations_run
-    compare_without_replay(monkeypatch, m, ens, opts)
-
-
-def test_empty_state_replays_from_the_second_iteration(monkeypatch):
-    # every check of degree 1: no plan, so the state list is empty and the
-    # second iteration repeats the first; the rest are replayed
-    calls = []
-    real = decoder._totals
-    monkeypatch.setattr(decoder, "_totals", lambda *a: calls.append(1) or real(*a))
-    k = 9
-    ens = IlluminationEnsemble(k, SparseRows.of([np.array([i]) for i in range(k)]))
-    scene = SceneImage(3, 3, np.array([1.0, 0, 1, 0, 1, 0, 1, 1, 0]))
-    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.0, fading="none"), seed=0)
-    for window in (1, 3, 5):
-        opts = BpOptions(stall_window=window)
-        calls.clear()
-        diag = decode_sum_bp(m, ens, opts).diagnostics
-        assert (diag.iterations_run, diag.converged) == (window + 1, True)
-        # the prior's sum, then iterations 1 and 2
-        assert len(calls) == 1 + min(window + 1, 2)
-        compare_without_replay(monkeypatch, m, ens, opts)
-
-
-def test_equal_totals_alone_start_no_replay(monkeypatch):
-    # a blank scene seen without noise: every count is 0, so each check sends
-    # the floor message whatever its `p`, and every iteration's total is the
-    # same, while damping halves `p` on each variable pass; the state never
-    # repeats, so nothing is replayed and no cycle is found
-    checks = count_check_passes(monkeypatch)
-    _, ens = desk_case(0)
-    scene = SceneImage(16, 16, np.zeros(256))
-    m = sense(ens, scene, ChannelParams(es=1.0, n0=0.0, fading="none"), seed=0)
-    opts = BpOptions(stall_window=10, damping=0.5)
-    diag = decode_sum_bp(m, ens, opts).diagnostics
-    assert (diag.iterations_run, diag.converged, diag.cycle_period) == (10, True, 0)
-    assert computed_iterations(checks) == 10
-    compare_without_replay(monkeypatch, m, ens, opts)
-
-
-def test_replay_history_is_freed_on_return():
+def test_decode_keeps_no_copy_per_iteration():
+    # a decode's working memory does not grow with its iterations: a copy
+    # of the state per iteration would add 16 KB for each past the second
     m, ens = desk_case(0)
     decode_sum_bp(m, ens)  # the cached plans stay resident by design: build them first
     state_bytes = sum(plan.p.nbytes for plan in decoder._cache.groups.values())
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        res = decode_sum_bp(m, ens)
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # 10 iterations computed, the first 9 of them recorded
-    assert peak - before >= 9 * state_bytes
-    assert after - before < state_bytes
-    assert res.diagnostics.iterations_run == 12
+    peaks = []
+    for max_iters in (2, 50):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = decode_sum_bp(m, ens, BpOptions(max_iters=max_iters))
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - before)
+        assert after - before < state_bytes
+    assert res.diagnostics.iterations_run >= 8
+    assert peaks[1] - peaks[0] < state_bytes
 
 
 def random_case(seed):
@@ -462,7 +371,7 @@ def random_case(seed):
 
 
 def test_random_decodes_match_plain_loops():
-    cases = [random_case(seed) for seed in range(120)]
+    cases = [random_case(seed) for seed in (*range(120), 142)]
     diags = [compare_sum_bp(*case).diagnostics for case in cases]
     stopped = [d for d, (*_, opts) in zip(diags, cases) if stopped_on_cycle(d, opts.max_iters)]
     # the grid must reach the cycle stop, else matching the plain loop shows nothing

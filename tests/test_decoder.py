@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,28 +37,42 @@ from codedgi import (
     decode_sum_bp,
     derive_parity_check,
     encode,
+    moment_prior,
     onoff_logits,
     patterns_from_generator,
+    random_speckle,
     sense,
     syndrome,
 )
 from codedgi.decoder import MSG_FLOOR, _CheckPlan, _ParityGroup, _sigmoid
 from codedgi.forward import RAYLEIGH_MEAN_MAG
 from codedgi.harness import parse_distribution
-from oracles import count_pmf, exhaustive_marginals, measurement_likelihood
+from oracles import count_pmf, exhaustive_marginals, measurement_likelihood, moment_matched_loglik
 
 
-def receiver_magnitudes(m):
-    """|h_n| as the receiver assumes it: true with CSI, else the mean magnitude."""
-    if m.channel.csi_known:
-        return m.fading_mag
-    return np.full(m.n_shots, RAYLEIGH_MEAN_MAG if m.channel.fading == "rayleigh" else 1.0)
+def receiver_likelihoods(m, counts):
+    """(shots, counts) densities of the receiver's model, from the oracles.
+
+    With CSI, or without fading, the Gaussian at the known gain; without CSI
+    under Rayleigh fading, the Gaussian with the exact fading density's moments.
+    """
+    if m.channel.fading == "rayleigh" and not m.channel.csi_known:
+        return np.exp(moment_matched_loglik(m.bucket, counts, m.channel))
+    amp = m.fading_mag if m.channel.csi_known else np.ones(m.n_shots)
+    return np.array(
+        [[measurement_likelihood(r, c, h, m.channel) for c in counts] for r, h in zip(m.bucket, amp)]
+    )
+
+
+def with_prior(opts, m, ens):
+    """`opts` with an "auto" prior resolved to its number, for the oracles."""
+    return replace(opts, prior=moment_prior(m, ens)) if opts.prior == "auto" else opts
 
 
 def reference_sum_bp(m, ens, opts):
     """Per-edge flooding BP written directly on count_pmf; O(d^3) per check."""
     k = ens.k_pixels
-    amp = receiver_magnitudes(m)
+    lik = receiver_likelihoods(m, range(max(ens.patterns.sizes) + 1))
     prior = opts.prior
     edges = [(j, i) for j, pat in enumerate(ens.patterns) for i in pat]
     p2m = {e: prior for e in edges}
@@ -69,14 +84,8 @@ def reference_sum_bp(m, ens, opts):
         for j, pat in enumerate(ens.patterns):
             for i in pat:
                 pmf = count_pmf([p2m[(j, o)] for o in pat if o != i])
-                m0 = sum(
-                    pmf[c] * measurement_likelihood(m.bucket[j], c, amp[j], m.channel)
-                    for c in range(len(pmf))
-                )
-                m1 = sum(
-                    pmf[c] * measurement_likelihood(m.bucket[j], c + 1, amp[j], m.channel)
-                    for c in range(len(pmf))
-                )
+                m0 = sum(pmf[c] * lik[j, c] for c in range(len(pmf)))
+                m1 = sum(pmf[c] * lik[j, c + 1] for c in range(len(pmf)))
                 v = 0.5 if m0 + m1 == 0 else m1 / (m0 + m1)
                 m2p[(j, i)] = min(max(v, MSG_FLOOR), 1 - MSG_FLOOR)
         tot = np.full(k, math.log(prior) - math.log1p(-prior))
@@ -353,8 +362,8 @@ class TestDecodeSumBp:
         m = sense(ens, scene, ch, seed=seed + 100)
         # stall_window must exceed the tree diameter: hard decisions can
         # settle before the outermost messages have propagated
-        res = decode_sum_bp(m, ens, BpOptions(stall_window=12))
-        exact = exhaustive_marginals(m, ens)
+        res = decode_sum_bp(m, ens, BpOptions(stall_window=12, damping=0.0))
+        exact = exhaustive_marginals(m, ens, moment_prior(m, ens))
         np.testing.assert_allclose(res.marginals, exact, atol=1e-9)
 
     def test_all_zero_scene_decodes_all_zero(self):
@@ -384,7 +393,7 @@ class TestDecodeSumBp:
         m = sense(ens, scene, ch, seed=23)
         opts = BpOptions(max_iters=15, damping=damping)
         fast = decode_sum_bp(m, ens, opts).marginals
-        slow = reference_sum_bp(m, ens, opts)
+        slow = reference_sum_bp(m, ens, with_prior(opts, m, ens))
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
     def test_unpinned_pixel_decodes_from_prior(self):
@@ -393,10 +402,41 @@ class TestDecodeSumBp:
         ens = IlluminationEnsemble(k_pixels=3, patterns=SparseRows.of(patterns))
         scene = SceneImage(width=3, height=1, reflectance=np.array([1.0, 0.0, 1.0]))
         m = sense(ens, scene, ChannelParams(es=1.0, n0=0.2, fading="none"), seed=3)
-        res = decode_sum_bp(m, ens)
+        res = decode_sum_bp(m, ens, BpOptions(prior=0.5))
         assert res.diagnostics.unpinned_pixel_count == 1
         assert res.marginals[2] == 0.5
         assert res.pixels[2] == 0  # tie at 0.5 breaks to 0
+
+    def test_moment_prior_is_the_lit_fraction_by_moments(self):
+        # E r_n = E|h| sqrt(Es) rho |pattern n| without CSI; 1200 shots of a
+        # 30%-lit scene read 0.3 within a few standard errors
+        ens = random_speckle(64, 1200, 0.25, seed=2)
+        scene = SceneImage(8, 8, (np.random.default_rng(2).random(64) < 0.3).astype(float))
+        ch = ChannelParams(es=2.0, n0=0.5, fading="rayleigh", csi_known=False)
+        m = sense(ens, scene, ch, seed=3)
+        edges = sum(len(row) for row in ens.patterns)
+        direct = m.bucket.sum() / (RAYLEIGH_MEAN_MAG * math.sqrt(2.0) * edges)
+        assert moment_prior(m, ens) == pytest.approx(direct, rel=1e-12)
+        assert abs(direct - scene.reflectance.mean()) < 0.02
+        # clipped to [0.02, 0.5]: a dark scene and a lit one, seen without noise
+        for lit, expect in ((0.0, 0.02), (1.0, 0.5)):
+            flat = SceneImage(8, 8, np.full(64, lit))
+            assert moment_prior(sense(ens, flat, replace(ch, n0=0.0), seed=3), ens) == expect
+
+    def test_auto_prior_decodes_as_the_moment_prior_written_in(self):
+        g = build_generator(CodeSpec(36, 72, DegreeDistribution.regular(5), seed=21))
+        ens = patterns_from_generator(g)
+        scene = SceneImage(6, 6, (np.random.default_rng(8).random(36) < 0.2).astype(float))
+        m = sense(ens, scene, ChannelParams(es=1.0, n0=0.4, fading="rayleigh", csi_known=False), 5)
+        auto = decode_sum_bp(m, ens)
+        written = decode_sum_bp(m, ens, BpOptions(prior=moment_prior(m, ens)))
+        assert auto.marginals.tobytes() == written.marginals.tobytes()
+        assert auto.diagnostics == written.diagnostics
+
+    @pytest.mark.parametrize("prior", ["Auto", "0.5", math.nan, 0.0, 1.0])
+    def test_prior_must_be_a_probability_or_auto(self, prior):
+        with pytest.raises(ValueError, match="prior must lie in"):
+            BpOptions(prior=prior)
 
     def test_noiseless_full_rank_zero_residual(self):
         g = build_generator(CodeSpec(25, 50, DegreeDistribution.regular(4), seed=9))
@@ -547,7 +587,7 @@ class TestCheckPlans:
         m = sense(ens, scene, ChannelParams(es=1.0, n0=1.2, fading="rayleigh"), seed=5)
         opts = BpOptions(max_iters=15, damping=0.2)
         fast = decode_sum_bp(m, ens, opts).marginals
-        np.testing.assert_allclose(fast, reference_sum_bp(m, ens, opts), atol=1e-12)
+        np.testing.assert_allclose(fast, reference_sum_bp(m, ens, with_prior(opts, m, ens)), atol=1e-12)
         checks = [(ids, px) for ids, px in ens.patterns.groups if px.shape[1] > 1]
         assert set(decoder._cache.groups) == cache_keys(_CheckPlan, checks)
 

@@ -31,7 +31,9 @@ from codedgi.forward import (
     save_measurement_csv,
     transmit,
 )
-from oracles import measurement_likelihood
+import mpmath as mp
+
+from oracles import fading_loglik, measurement_likelihood, moment_matched_loglik
 
 
 def flat_scene(values):
@@ -276,16 +278,19 @@ class TestReceiverModel:
     @pytest.mark.parametrize("fading", FADING_MODES)
     def test_matches_measurement_likelihood(self, fading, csi):
         # log density ratios across counts, against the scalar oracle fed the
-        # magnitudes the receiver assumes
+        # magnitudes the receiver assumes; without CSI under Rayleigh fading,
+        # against the Gaussian with the exact fading density's moments
         ch = ChannelParams(es=2.5, n0=0.8, fading=fading, csi_known=csi)
         m = transmit(np.arange(12) % 5, ch, seed=3)
-        blind = RAYLEIGH_MEAN_MAG if fading == "rayleigh" else 1.0
-        mags = m.fading_mag if csi else np.full(12, blind)
+        mags = m.fading_mag if csi else np.ones(12)
         counts = np.arange(7)
         got = count_loglik(m, counts)
-        want = np.log(
-            [[measurement_likelihood(r, c, h, ch) for c in counts] for r, h in zip(m.bucket, mags)]
-        )
+        if fading == "rayleigh" and not csi:
+            want = moment_matched_loglik(m.bucket, counts, ch)
+        else:
+            want = np.log(
+                [[measurement_likelihood(r, c, h, ch) for c in counts] for r, h in zip(m.bucket, mags)]
+            )
         np.testing.assert_allclose(got - got[:, :1], want - want[:, :1], rtol=0, atol=1e-12)
         ids = np.array([7, 0, 3])
         assert np.array_equal(count_loglik(m, counts, ids), got[ids])
@@ -301,6 +306,60 @@ class TestReceiverModel:
         assert np.array_equal(count_loglik(m, np.arange(4)), expect)
         oracle = [[measurement_likelihood(x, c, 1.0, ch) for c in range(4)] for x in r]
         assert np.array_equal(np.exp(expect), oracle)
+
+    def test_noiseless_without_csi(self):
+        # the exact density at N0 = 0: count 0 is a point mass at r = 0, and
+        # a count c >= 1 spreads r over (0, inf), so it has density 0 at r = 0
+        ch = ChannelParams(es=4.0, n0=0.0, fading="rayleigh", csi_known=False)
+        r = np.array([0.0, 1e-12, 0.3, 5.0])
+        m = Measurement(bucket=r, fading_mag=np.ones(4), channel=ch, seed=0)
+        got = count_loglik(m, np.arange(4))
+        assert np.array_equal(got[:2], [[0.0, -np.inf, -np.inf, -np.inf]] * 2)
+        assert np.isneginf(got[2:, 0]).all() and np.isfinite(got[2:, 1:]).all()
+        var = 4.0 * (1.0 - math.pi / 4.0) * np.arange(1, 4) ** 2
+        mean = 2.0 * RAYLEIGH_MEAN_MAG * np.arange(1, 4)
+        want = -((r[2:, None] - mean) ** 2) / (2.0 * var) - 0.5 * np.log(var)
+        np.testing.assert_allclose(got[2:, 1:], want, rtol=1e-15, atol=0)
+        logits = onoff_logits(m)
+        assert np.array_equal(logits, [-np.inf, -np.inf, np.inf, np.inf])
+
+
+class TestFadingDensity:
+    """The oracle `fading_loglik` against mpmath's quadrature of its defining integral."""
+
+    @staticmethod
+    def quad(r, c, ch):
+        # log of the integral over |h| = a of 2a exp(-a^2) N(r; a sqrt(Es) c, N0/2),
+        # split around the peak of its integrand
+        mp.mp.dps = 40
+        s2, r = mp.mpf(ch.n0) / 2, mp.mpf(r)
+        log_phi = -r * r / (2 * s2) - mp.log(2 * mp.pi * s2) / 2
+        if c == 0:
+            return log_phi
+        b = mp.sqrt(ch.es) * c
+        alpha, beta = 1 + b * b / (2 * s2), r * b / (2 * s2)
+        peak = (beta + mp.sqrt(beta**2 + 2 * alpha)) / (2 * alpha)
+        top = 2 * beta * peak - alpha * peak**2
+        width = min(1 / mp.sqrt(alpha), peak)
+        cuts = sorted({mp.mpf(0), *(max(peak + k * width, 0) for k in (-2, -1, 0, 1, 2, 4, 8, 16, 32))})
+        area = mp.quad(lambda a: 2 * a * mp.exp(-alpha * a * a + 2 * beta * a - top), cuts + [mp.inf])
+        return log_phi + top + mp.log(area)
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 8])
+    def test_matches_quadrature(self, count):
+        ch = ChannelParams(es=1.0, n0=0.2, fading="rayleigh", csi_known=False)
+        r = np.array([-0.7, 0.0, 0.9, 2.5, 6.0])
+        got = fading_loglik(r, [count], ch)[:, 0]
+        want = [float(self.quad(x, count, ch)) for x in r]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("r, count", [(-0.68, 8), (-1.2, 8), (12.0, 3), (30.0, 8)])
+    def test_matches_quadrature_in_the_tails(self, r, count):
+        # zeta = -15 (log p = -245), -27 (log p = -735), where the series
+        # takes over, then 268 and 671, far past erfcx(-zeta)'s overflow
+        ch = ChannelParams(es=1.0, n0=0.002, fading="rayleigh", csi_known=False)
+        got = fading_loglik([r], [count], ch)[0, 0]
+        np.testing.assert_allclose(got, float(self.quad(r, count, ch)), rtol=1e-15, atol=1e-9)
 
 
 def onoff_llr(r, h_mag, ch):
@@ -319,14 +378,18 @@ class TestOnOffLlr:
     @pytest.mark.parametrize("csi", [True, False])
     @pytest.mark.parametrize("snr_db", [0.0, 8.0, 14.0])
     def test_closed_form_value(self, snr_db, csi):
-        # a (a - 2r) / N0 with a the receiver's gain, on desk-sized on-off traffic
+        # a (a - 2r) / N0 with a the receiver's gain, on desk-sized on-off
+        # traffic; without CSI the log ratio of the Gaussians with the exact
+        # fading density's moments at counts 1 and 0
         assert onoff_llr(0.0, 1.0, ChannelParams(es=1.0, n0=1.0))[0] == pytest.approx(1.0)
         ch = ChannelParams.at_snr_db(snr_db, 2.0, "rayleigh", csi)
         m = transmit(np.random.default_rng(4).integers(0, 2, 512), ch, seed=5)
-        a = receiver_gains(m)
-        np.testing.assert_allclose(
-            onoff_logits(m), a * (2.0 * m.bucket - a) / ch.n0, rtol=0, atol=1e-12
-        )
+        if csi:
+            a = receiver_gains(m)
+            want = a * (2.0 * m.bucket - a) / ch.n0
+        else:
+            want = np.diff(moment_matched_loglik(m.bucket, (0, 1), ch), axis=1)[:, 0]
+        np.testing.assert_allclose(onoff_logits(m), want, rtol=0, atol=1e-12)
 
     def test_strictly_decreasing_in_r(self):
         vals = onoff_llr(np.linspace(-2, 3, 40), 0.9, ChannelParams(es=2.0, n0=0.3))

@@ -79,6 +79,17 @@ class TestConfigParsing:
         parsed = parse_config_text(cfg.to_text())
         assert parsed == cfg
 
+    def test_prior_is_a_probability_or_auto(self):
+        # a manifest written before the default became "auto" keeps its number
+        assert RunConfig().prior == BpOptions().prior == "auto"
+        assert parse_config_text("prior = 0.25\n").prior == 0.25
+        pinned = parse_config_text("prior = 0.16\n")
+        assert parse_config_text("prior = auto\n", base=pinned).prior == "auto"
+        assert parse_config_text(pinned.to_text()) == pinned
+        for bad, match in (("automatic", "bad value"), ("1.5", "prior must lie in")):
+            with pytest.raises(ConfigError, match=match):
+                parse_config_text(f"prior = {bad}\n")
+
     def test_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nseed = 5 # trailing\nwidth = 16\nheight=16\n")
         assert cfg.seed == 5 and cfg.width == 16
@@ -489,12 +500,12 @@ class TestManifestReplay:
         """
         expect = {
             "sum-constraint": (
-                [("8", "1"), ("50", "0"), ("5", "1"), ("14", "1")],
-                ["0.2265625", "0.1171875"],
+                [("6", "1"), ("9", "1"), ("5", "1"), ("7", "1")],
+                ["0.15625", "0.0546875"],
             ),
             "gf2": (
-                [("50", "0"), ("5", "1"), ("4", "1"), ("5", "1")],
-                ["0.1875", "0.0"],
+                [("50", "0"), ("50", "0"), ("50", "0"), ("3", "1")],
+                ["0.15625", "0.0078125"],
             ),
         }
         for mode, (diag_cols, ber_means) in expect.items():
@@ -512,7 +523,7 @@ class TestManifestReplay:
         )
         lines = Path(run_dir, "compare.csv").read_text().splitlines()
         assert [l.split(",")[2] for l in lines[2:]] == [
-            "0.203125", "0.21875", "0.25", "0.328125",
+            "0.140625", "0.0625", "0.25", "0.328125",
             "0.234375", "0.265625", "0.296875", "0.34375",
         ]
 
