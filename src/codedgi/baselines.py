@@ -10,13 +10,16 @@ condition number at or below GRAM_RCOND_MIN goes through a column-pivoted QR
 condition number would pass 1e10. Either path returns the minimum-norm
 least-squares solution. All three return unnormalized real-valued images.
 
-The pseudo-inverse's dense solve runs on scipy's BLAS/LAPACK alone: `dsyrk`
-forms the Gram's upper triangle, `dpotrf`, `dpocon` and `dpotrs` factor and
-solve, and `dgemv` forms the right-hand side. numpy and scipy each bundle
-their own OpenBLAS, each with its own thread pool whose idle workers spin, so
-a solve that used both would leave more busy threads than cores for the rest
-of the run. The Gram's 1-norm, which only feeds `dpocon`, comes from the
-sparse entries as S^T (S 1).
+The pseudo-inverse's dense solve runs on scipy's BLAS/LAPACK alone. The
+gains pick the kernel for the Gram's upper triangle: when every shot has the
+same gain g and there are fewer than 2^24 shots, `ssyrk` forms the counts
+A^T A from a float32 0/1 matrix, exact because every partial sum is an
+integer below 2^24, and the Gram is g^2 times them; per-shot gains take
+`dsyrk` on the float64 system. `dpotrf`, `dpocon` and `dpotrs` then factor
+and solve. numpy and scipy each bundle their own OpenBLAS, each with its own
+thread pool whose idle workers spin, so a solve that used both would leave
+more busy threads than cores for the rest of the run. The Gram's 1-norm,
+which only feeds `dpocon`, comes from the sparse entries as S^T (S 1).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .forward import IlluminationEnsemble, Measurement, receiver_gains
 # condition number. Below 1e-8 (cond(A) above about 1e4) more than half of
 # float64's 16 digits would go, and the column-pivoted QR takes over.
 GRAM_RCOND_MIN = 1e-8
+# float32 holds every integer up to 2^24, so a float32 Gram of a 0/1 matrix with
+# fewer rows is exact in any summation order, blocking or thread count
+COUNT_GRAM_SHOTS_MAX = 2**24
 
 
 @dataclass
@@ -90,6 +96,27 @@ def _gram_norm1(ens: IlluminationEnsemble, gains: np.ndarray) -> float:
     return float(np.bincount(ens.patterns.flat, weights=weights, minlength=ens.k_pixels).max())
 
 
+def _count_gram(ens: IlluminationEnsemble) -> np.ndarray:
+    """Upper triangle of A^T A, A the (N, K) 0/1 pattern matrix, by ssyrk in float32.
+
+    Exact while N < COUNT_GRAM_SHOTS_MAX: every partial sum is a count of at most N.
+    """
+    from scipy.linalg import blas
+
+    lit = np.zeros((len(ens.patterns), ens.k_pixels), dtype=np.float32)
+    lit[ens.patterns.entries()] = 1.0
+    # lit.T is an F-contiguous view, so scipy's BLAS reads it without a copy
+    return blas.ssyrk(1.0, lit.T, trans=0, lower=0)
+
+
+def _gain_system(ens: IlluminationEnsemble, gains: np.ndarray) -> np.ndarray:
+    """The dense (N, K) system S with S[n, i] = g_n on pattern n's pixels."""
+    rows, pixels = ens.patterns.entries()
+    system = np.zeros((len(ens.patterns), ens.k_pixels))
+    system[rows, pixels] = gains[rows]
+    return system
+
+
 def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstruction:
     """Minimum-norm least squares of (diag(|h| sqrt(Es)) A) x = R.
 
@@ -106,28 +133,40 @@ def pinv_reconstruct(ens: IlluminationEnsemble, m: Measurement) -> Reconstructio
     and the rest is cut, so a rank-deficient system returns the minimum-norm
     solution.
 
-    The fast path calls scipy's BLAS and LAPACK only (dsyrk for the Gram's
-    upper triangle, which potrf reads in place, and dgemv for A^T R), never
-    numpy's: the two libraries keep separate thread pools whose idle workers
-    spin. pocon's 1-norm is S^T (S 1), from the sparse entries.
+    The Gram's upper triangle, which potrf reads in place, comes from one of
+    two kernels, picked from the gains. When every shot has the same gain g
+    and there are fewer than COUNT_GRAM_SHOTS_MAX (2^24) shots, as without CSI
+    or without fading, ssyrk forms the exact counts A^T A in float32 and the
+    Gram is g^2 times them, rounded once; the right-hand side is g A^T R from
+    the sparse entries. Otherwise dsyrk forms it from the float64 system and
+    dgemv forms A^T R. Both call scipy's BLAS and LAPACK only, never numpy's:
+    the two libraries keep separate thread pools whose idle workers spin.
+    pocon's 1-norm is S^T (S 1), from the sparse entries. The gelsy fallback
+    runs on the float64 system either way.
     """
     # imported here: scipy.linalg costs about 0.25 s to import cold, and only pinv uses it
     import scipy.linalg
     from scipy.linalg import blas, lapack
 
     _check_lengths(ens, m)
-    rows, pixels = ens.patterns.entries()
     gains = receiver_gains(m)
-    system = np.zeros((len(ens.patterns), ens.k_pixels))
-    system[rows, pixels] = gains[rows]
-    # system.T is an F-contiguous view, so scipy's BLAS reads it without a copy
-    gram_upper = blas.dsyrk(1.0, system.T, trans=0, lower=0)
+    g = gains[0]
+    if len(gains) < COUNT_GRAM_SHOTS_MAX and (gains == g).all():
+        gram_upper = np.multiply(_count_gram(ens), g * g, dtype=np.float64)
+        rows, pixels = ens.patterns.entries()
+        rhs = g * np.bincount(pixels, weights=m.bucket[rows], minlength=ens.k_pixels)
+    else:
+        system = _gain_system(ens, gains)
+        # system.T is an F-contiguous view, so scipy's BLAS reads it without a copy
+        gram_upper = blas.dsyrk(1.0, system.T, trans=0, lower=0)
+        rhs = blas.dgemv(1.0, system.T, m.bucket)
     chol, info = lapack.dpotrf(gram_upper, overwrite_a=1)
     if info == 0:
         rcond, _ = lapack.dpocon(chol, _gram_norm1(ens, gains))
         if rcond > GRAM_RCOND_MIN:
-            x, _ = lapack.dpotrs(chol, blas.dgemv(1.0, system.T, m.bucket))
+            x, _ = lapack.dpotrs(chol, rhs)
             return Reconstruction(image=x)
+    system = _gain_system(ens, gains)
     x, *_ = scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")
     return Reconstruction(image=x)
 

@@ -41,6 +41,10 @@ def read_pgm(path) -> tuple[int, int, np.ndarray]:
     except StopIteration:
         raise ValueError(f"truncated PGM header in {path}") from None
     width, height, maxval = int(w[1]), int(h[1]), int(maxval_tok[1])
+    if width < 1 or height < 1:
+        raise ValueError(
+            f"PGM width and height must be at least 1, got {width} and {height} in {path}"
+        )
     if maxval != MAXVAL:
         raise ValueError(f"PGM maxval must be {MAXVAL}, got {maxval}")
     count = width * height

@@ -149,27 +149,57 @@ def underdetermined_acquisition():
     return ens, sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=43)
 
 
-def well_conditioned_acquisition():
-    """Twice as many speckle patterns (32) as pixels (16), Rayleigh with CSI."""
+def well_conditioned_acquisition(fading="rayleigh", csi=True):
+    """Twice as many speckle patterns (32) as pixels (16), Rayleigh with CSI by default."""
     ens = random_speckle(16, 32, 0.4, seed=44)
     scene = SceneImage(4, 4, np.random.default_rng(45).integers(0, 2, 16).astype(float))
-    return ens, sense(ens, scene, ChannelParams(es=1.0, n0=0.5, fading="rayleigh"), seed=46)
+    ch = ChannelParams(es=1.0, n0=0.5, fading=fading, csi_known=csi)
+    return ens, sense(ens, scene, ch, seed=46)
+
+
+def gram_kernel_calls(monkeypatch):
+    """Names of the scipy BLAS Gram kernels (ssyrk, dsyrk) called from now on, in order."""
+    from scipy.linalg import blas
+
+    seen = []
+    for name in ("ssyrk", "dsyrk"):
+
+        def counting(*args, _name=name, _real=getattr(blas, name), **kwargs):
+            seen.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(blas, name, counting)
+    return seen
 
 
 def reference_pinv(ens, m):
     """pinv_reconstruct as numpy forms the Gram: `system.T @ system`, its
     `np.linalg.norm(gram, 1)` and `system.T @ bucket`, with scipy's LAPACK
-    factoring and solving and the same gelsy fallback."""
+    factoring and solving and the same gelsy fallback.
+
+    When every shot has the same gain g the Gram is `(dense.T @ dense) * g**2`:
+    the float64 counts are exact, so the one rounding is that of the product,
+    as pinv_reconstruct's exact float32 counts claim. The right-hand side is
+    then g times the per-pixel bucket sums from the sparse entries, formed
+    exactly as pinv_reconstruct forms it."""
     import scipy.linalg
     from scipy.linalg import lapack
 
-    system = receiver_gains(m)[:, None] * ens.dense()
-    gram = system.T @ system
+    gains, dense = receiver_gains(m), ens.dense()
+    system = gains[:, None] * dense
+    if (gains == gains[0]).all():
+        g = gains[0]
+        gram = (dense.T @ dense) * g**2
+        rows, pixels = ens.patterns.entries()
+        rhs = g * np.bincount(pixels, weights=m.bucket[rows], minlength=ens.k_pixels)
+    else:
+        gram = system.T @ system
+        rhs = system.T @ m.bucket
     chol, info = lapack.dpotrf(gram)
     if info == 0:
         rcond, _ = lapack.dpocon(chol, np.linalg.norm(gram, 1))
         if rcond > GRAM_RCOND_MIN:
-            return lapack.dpotrs(chol, system.T @ m.bucket)[0]
+            return lapack.dpotrs(chol, rhs)[0]
     return scipy.linalg.lstsq(system, m.bucket, cond=1e-10, lapack_driver="gelsy")[0]
 
 
@@ -273,6 +303,33 @@ class TestPinv:
         baselines.pinv_reconstruct(*acquire())
         assert seen == calls
 
+    @pytest.mark.parametrize(
+        "fading, csi, kernel",
+        [
+            ("rayleigh", False, "ssyrk"),
+            ("none", False, "ssyrk"),
+            ("none", True, "ssyrk"),
+            ("rayleigh", True, "dsyrk"),
+        ],
+        ids=["rayleigh_no_csi", "no_fading_no_csi", "no_fading_csi", "rayleigh_csi"],
+    )
+    def test_gram_kernel_follows_the_gains(self, fading, csi, kernel, monkeypatch):
+        # equal gains take the exact float32 count Gram, per-shot gains the float64 one
+        seen = gram_kernel_calls(monkeypatch)
+        baselines.pinv_reconstruct(*well_conditioned_acquisition(fading, csi))
+        assert seen == [kernel]
+
+    @pytest.mark.parametrize("margin, kernel", [(0, "dsyrk"), (1, "ssyrk")], ids=["at", "below"])
+    def test_count_gram_needs_fewer_shots_than_the_limit(self, margin, kernel, monkeypatch):
+        # the limit is exclusive: a shot count equal to it takes the float64 Gram
+        ens, m = well_conditioned_acquisition("none", False)
+        monkeypatch.setattr(baselines, "COUNT_GRAM_SHOTS_MAX", len(ens.patterns) + margin)
+        seen = gram_kernel_calls(monkeypatch)
+        x = baselines.pinv_reconstruct(ens, m).image
+        assert seen == [kernel]
+        want = np.linalg.lstsq(receiver_gains(m)[:, None] * ens.dense(), m.bucket, rcond=None)[0]
+        np.testing.assert_allclose(x, want, rtol=0, atol=1e-12)
+
     def test_uses_mean_amplitude_without_csi(self):
         rng = np.random.default_rng(12)
         ens = random_speckle(6, 18, 0.5, seed=13)
@@ -290,13 +347,25 @@ class TestPinv:
 
 
 class TestBenchmarkScale:
-    """The compare benchmark's shape: 32x32 glyphs, N = 2048, duty 0.15, Rayleigh."""
+    """The compare benchmark's shape: 32x32 glyphs, N = 2048, duty 0.15, Rayleigh
+    with and without CSI, and no fading."""
 
-    @pytest.fixture(scope="class", params=[False, True], ids=["no_csi", "csi"])
+    @pytest.fixture(
+        scope="class",
+        params=[("rayleigh", False), ("rayleigh", True), ("none", False)],
+        ids=["no_csi", "csi", "no_fading"],
+    )
     def acquisition(self, request):
+        fading, csi = request.param
         ens = random_speckle(1024, 2048, 0.15, seed=31)
-        ch = ChannelParams.at_snr_db(10.0, 1.0, "rayleigh", csi_known=request.param)
+        ch = ChannelParams.at_snr_db(10.0, 1.0, fading, csi_known=csi)
         return ens, sense(ens, builtin_scene("glyphs", 32, 32), ch, seed=32)
+
+    def test_count_gram_is_exact(self):
+        ens = random_speckle(1024, 2048, 0.15, seed=31)
+        a = ens.dense()
+        counts = baselines._count_gram(ens)
+        assert np.array_equal(np.triu(counts), np.triu(a.T @ a))
 
     def test_cgi_and_dgi_match_dense_formula(self, acquisition):
         ens, m = acquisition

@@ -143,6 +143,25 @@ class TestPgm:
         with pytest.raises(ValueError, match=f"expected 4 pixels, got {len(pixels.split())}"):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "header, pixels, dims",
+        [
+            (b"P2\n-1 -2\n255\n", b"1 2\n", "-1 and -2"),
+            (b"P2\n0 2\n255\n", b"", "0 and 2"),
+            (b"P5\n0 2\n255\n", b"", "0 and 2"),
+            (b"P5\n-3 2\n255\n", bytes(6), "-3 and 2"),
+            (b"P5\n2 0\n255\n", bytes(2), "2 and 0"),
+        ],
+        ids=[
+            "p2_negative", "p2_zero_width", "p5_zero_width", "p5_negative_width", "p5_zero_height"
+        ],
+    )
+    def test_non_positive_dimensions_rejected(self, tmp_path, header, pixels, dims):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(header + pixels)
+        with pytest.raises(ValueError, match=f"width and height must be at least 1, got {dims} "):
+            read_pgm(path)
+
     def test_comment_rules(self, tmp_path):
         # a '#' after a blank opens a comment to the end of its line, also among
         # P2 pixels; a '#' inside a token is part of it, so "2#" is no number
