@@ -88,8 +88,8 @@ def _cmd_decode(args) -> int:
     write_pgm(args.out, args.width, args.height, result.pixels.astype(np.float64))
     d = result.diagnostics
     print(
-        f"wrote {args.out} (iterations={d.iterations_run} cycle_period={d.cycle_period} "
-        f"converged={d.converged} residual={d.residual:.4g})"
+        f"wrote {args.out} (iterations={d.iterations_run} converged={d.converged} "
+        f"residual={d.residual:.4g})"
     )
     return 0
 

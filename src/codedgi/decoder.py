@@ -52,14 +52,14 @@ Each decoder is one row of `harness._DECODERS`, which acquires the scene
 and calls it; the tests' exhaustive oracles score scenes with the same
 `count_loglik`, so no second copy of the receiver model lives here.
 
-Undamped loopy BP often settles into an exact cycle of message states. Each
-decoder hands the buffers of its message state to one `_CycleWatch`, which
-`_flood` asks after every failed stop test; once it has found a repeat of
-period p and proved that the stop rule can no longer fire, the decode stops
-there, not converged, and returns the iterate it computed last. Its result
-therefore never depends on max_iters beyond that point, and
-`DecodeDiagnostics.iterations_run` is always the number of iterations computed.
-Damped decodes, the default, settle rather than cycle.
+Undamped loopy BP often settles into an exact cycle of message states.
+decode_gf2_bp's stop rule asks a `_CycleWatch` of its message state after
+every failed syndrome test before max_iters. The test reads only the
+current iterate, so a repeat certifies that it never passes: the decode
+stops there, not converged, on the iterate it computed last. decode_sum_bp
+stops only on its stall rule or at max_iters, where an undamped decode that
+oscillates ends; damped decodes, the default, settle. `iterations_run` is
+always the number of iterations computed.
 """
 
 from __future__ import annotations
@@ -106,10 +106,10 @@ class DecodeDiagnostics:
     """How a decode ended.
 
     `iterations_run` is the number of iterations computed; the result is the
-    last one's. `cycle_period` is the period of an exact repeat of the
-    message state found before the last iteration, 0 when none was. A decode
-    that is not converged and stopped before max_iters ended on a certified
-    limit cycle.
+    last one's. `cycle_period` is the period of an exact repeat of the GF(2)
+    message state found before the last iteration, 0 when none was, and
+    always 0 for decode_sum_bp. A GF(2) decode that is not converged and
+    stopped before max_iters ended on a certified limit cycle.
     """
 
     iterations_run: int
@@ -312,63 +312,53 @@ def _groups(cls, index_groups) -> list:
 
 
 class _CycleWatch:
-    """Finds an exact repeat of a decoder's message state and says when to stop.
+    """Finds an exact repeat of the GF(2) decoder's message state.
 
     `state` is the list of buffers that hold the decoder's full message
-    state; `ends(i)` reads them when iteration i's result (hard decisions,
-    marginals) has been computed from them. It keeps a copy of the state
-    seen at i = 1, 2, 4, 8, ... and compares each later state with the
-    copy by `np.array_equal` (Brent's cycle detection, BIT 1980). If the
-    state at t equals the one kept at c < t, iteration is a deterministic
-    map of that state, so the states, and with them the results, repeat
-    with period lam = t - c from iteration c on.
-
-    A stop rule that reads the results of iterations i - memory .. i reads
-    only repeating results for i >= c + memory, so it fires at i exactly
-    when it fires at i + lam. Once it has failed at lam consecutive such i,
-    the last of them c + memory + lam - 1, it has failed at every phase of
-    the cycle and never fires: from there on the decode is certified never
-    to converge, and `ends` is true. The GF(2) syndrome test has memory 0,
-    so a repeat is certified when found. The stall rule of decode_sum_bp
-    has memory stall_window. A fixed point (lam = 1) has constant hard
-    decisions from c on, so the stall rule fires by c + stall_window,
-    before the cycle is certified: the decode still converges.
+    state; `repeats(i)` reads them when iteration i's result (hard
+    decisions, marginals) has been computed from them. It keeps a copy of
+    the state seen at i = 1, 2, 4, 8, ... and compares each later state
+    with the copy by `np.array_equal` (Brent's cycle detection, BIT 1980).
+    If the state at i equals the one kept at c < i, iteration is a
+    deterministic map of that state, so the states, and with them the
+    results, repeat with period `period` = i - c from iteration c on. The
+    syndrome test reads only the current iterate and has failed at every
+    iterate of the cycle, so it never passes: a repeat is the certificate
+    that the decode cannot converge.
     """
 
-    def __init__(self, memory: int, state: list[np.ndarray]):
-        self.memory, self.state = memory, state
+    def __init__(self, state: list[np.ndarray]):
+        self.state = state
         self.kept, self.kept_at, self.period = None, 0, 0
 
-    def ends(self, i: int) -> bool:
-        """Whether the stop rule, having failed at iteration i, can never fire again."""
-        if not self.period:
-            if self.kept is not None and all(map(np.array_equal, self.state, self.kept)):
-                self.period = i - self.kept_at
-            elif i & (i - 1) == 0:
-                self.kept, self.kept_at = [s.copy() for s in self.state], i
-        return self.period > 0 and i >= self.kept_at + self.memory + self.period - 1
+    def repeats(self, i: int) -> bool:
+        """Whether the state at iteration i repeats a kept one; sets `period` if so."""
+        if self.kept is not None and all(map(np.array_equal, self.state, self.kept)):
+            self.period = i - self.kept_at
+            return True
+        if i & (i - 1) == 0:
+            self.kept, self.kept_at = [s.copy() for s in self.state], i
+        return False
 
 
-def _flood(checks, prior, groups, n: int, max_iters: int, watch: _CycleWatch):
+def _flood(checks, prior, groups, n: int, max_iters: int):
     """The flooding schedule of both decoders: yields each iteration's beliefs.
 
     `checks` are the groups of `groups`, in its order, their first variable
-    pass already run. Each iteration runs every check pass and yields the
-    `_totals` of `prior` and every `msg` to the caller's stop rule; a caller
-    whose rule fires does not resume. The schedule then ends at max_iters or
-    once `watch` certifies that the rule can never fire, so no variable pass
-    follows the last iteration; otherwise it runs every variable pass.
+    pass already run. Each of at most max_iters iterations runs every check
+    pass and yields the `_totals` of `prior` and every `msg` to the caller's
+    stop rule; a caller whose rule fires does not resume. Each iteration but
+    the first starts with every variable pass, so none follows the last.
     """
     beliefs = [check.msg.T for check in checks]  # (B, d) views: _totals adds in edge order
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(max_iters):
+        if iteration:
+            for check in checks:
+                check.variable_pass(total)
         for check in checks:
             check()
         total = _totals(prior, groups, beliefs, n)
         yield total
-        if iteration == max_iters or watch.ends(iteration):
-            return
-        for check in checks:
-            check.variable_pass(total)
 
 
 def moment_prior(m: Measurement, ens: IlluminationEnsemble) -> float:
@@ -388,8 +378,8 @@ def decode_sum_bp(
 
     Pixel->measurement messages start at the prior, `moment_prior` when it
     is "auto". The stop rule: the hard decisions are unchanged for
-    stall_window consecutive iterations. Its `_CycleWatch` watches each
-    plan's `p`.
+    stall_window consecutive iterations. There is no cycle stop: a decode
+    that oscillates runs to max_iters.
     """
     opts = opts or BpOptions()
     ens.require_shots(m)
@@ -412,8 +402,7 @@ def decode_sum_bp(
 
     hard = np.full(k, opts.prior > 0.5)
     stable = 0
-    watch = _CycleWatch(opts.stall_window, [plan.p for plan in plans])
-    for iteration, total in enumerate(_flood(plans, prior, groups, k, opts.max_iters, watch), 1):
+    for iteration, total in enumerate(_flood(plans, prior, groups, k, opts.max_iters), 1):
         marginals = _sigmoid(total)
         new_hard = marginals > 0.5
         stable = stable + 1 if np.array_equal(new_hard, hard) else 0
@@ -428,7 +417,7 @@ def decode_sum_bp(
     error = m.bucket - receiver_gains(m) * ens.patterns.sums(pixels)
     residual = math.sqrt(np.sum(error * error)) / math.sqrt(m.channel.es)
 
-    diag = DecodeDiagnostics(iteration, converged, residual, unpinned, watch.period)
+    diag = DecodeDiagnostics(iteration, converged, residual, unpinned)
     return DecodeResult(pixels=pixels, marginals=marginals, diagnostics=diag)
 
 
@@ -490,8 +479,9 @@ def decode_gf2_bp(
     """Sum-product over GF(2) with the tanh rule, on `_flood`; logit = log p(1)/p(0).
 
     Reads `opts.max_iters` only. The stop rule: the hard-decision word has
-    zero syndrome, an XOR-reduce over each group's (d, B) index layout. Its
-    `_CycleWatch` watches each group's `msg`. The first K bits of the hard
+    zero syndrome, an XOR-reduce over each group's (d, B) index layout, or,
+    before max_iters, an exact repeat of the message state (each group's
+    `msg`), which its `_CycleWatch` finds. The first K bits of the hard
     decision are the pixels. Products and sums run in the order of a loop
     over (B, d) groups with `np.cumprod`, so results match that loop to the
     bit.
@@ -506,12 +496,11 @@ def decode_gf2_bp(
     for check in checks:
         check.msg.fill(0.0)  # a cached group holds the last decode's messages
         check.variable_pass(logits)
-    watch = _CycleWatch(0, [check.msg for check in checks])
-    flood = _flood(checks, logits, groups, h.n_total, opts.max_iters, watch)
-    for iteration, total in enumerate(flood, 1):
+    watch = _CycleWatch([check.msg for check in checks])
+    for iteration, total in enumerate(_flood(checks, logits, groups, h.n_total, opts.max_iters), 1):
         hard = total > 0.0
         converged = all(check.satisfied(hard) for check in checks)
-        if converged:
+        if converged or (iteration < opts.max_iters and watch.repeats(iteration)):
             break
 
     diag = DecodeDiagnostics(iteration, converged, math.nan, 0, watch.period)

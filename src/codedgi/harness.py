@@ -228,10 +228,10 @@ def _uncommented(line: str) -> str:
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Flat 'key = value' lines; '#' starts a comment; unknown keys rejected."""
+    """Flat 'key = value' lines; '#' starts a comment; unknown and repeated keys rejected."""
     cfg = base or RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
-    updates = {}
+    updates, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _uncommented(raw)
         if not line:
@@ -242,6 +242,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in known:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"line {lineno}: config key {key!r} repeats line {line_of[key]}")
+        line_of[key] = lineno
         updates[key] = _coerce(key, value, getattr(cfg, key))
     cfg = replace(cfg, **updates)
     cfg.validate()
@@ -330,7 +333,8 @@ def read_manifest_config(path) -> RunConfig:
         start = lines.index("[config]") + 1
     except ValueError:
         raise ConfigError(f"{path} has no [config] section") from None
-    end = lines.index("[seeds]") if "[seeds]" in lines else len(lines)
+    # the section runs to the next "[section]" line, whichever section that is
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
     return parse_config_text("\n".join(lines[start:end]))
 
 

@@ -195,6 +195,15 @@ def test_gf2_grayscale_exits_before_run_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_config_key_exits_before_run_dir(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\nwidth = 12\n")
+    out = tmp_path / "out"
+    assert main(["sweep-ber", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 5: config key 'width' repeats line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fractional_integer_list_exit_code(tmp_path, capsys):
     cfg = tmp_path / "frac.cfg"
     cfg.write_text("width = 8\nheight = 8\ndegree = 4\ntrials = 1\nmultipliers = 1.5,2.7\n")
@@ -288,15 +297,16 @@ def test_decode_default_flags_keep_bytes(tmp_path, glyph_pgm, capsys):
     assert lines[-2].split("(")[1] == lines[-1].split("(")[1]
 
 
-def test_decode_reports_iterations_and_cycle_period(tmp_path, glyph_pgm, capsys, monkeypatch):
+def test_decode_reports_iterations_and_convergence(tmp_path, glyph_pgm, capsys, monkeypatch):
     real = codedgi.cli.decode_sum_bp
     results = []
     monkeypatch.setattr(codedgi.cli, "decode_sum_bp", lambda *a: results.append(real(*a)) or results[-1])
     assert main([*_decode_args(tmp_path, glyph_pgm), "--out", str(tmp_path / "d.pgm")]) == 0
     report = capsys.readouterr().out.splitlines()[-1]
     d = results[0].diagnostics
-    assert f"(iterations={d.iterations_run} cycle_period={d.cycle_period} " in report
-    assert f" converged={d.converged} " in report
+    assert f"(iterations={d.iterations_run} converged={d.converged} " in report
+    # sum BP has no cycle stop, so there is no cycle period to report
+    assert "cycle_period" not in report
 
 
 def _spy_on_decode(monkeypatch) -> list:

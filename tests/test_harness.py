@@ -98,6 +98,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config_text("wat = 1\n")
 
+    def test_repeated_key_rejected(self):
+        # the last value used to win silently
+        with pytest.raises(ConfigError, match="line 3: config key 'width' repeats line 1"):
+            parse_config_text("width = 8\nheight = 8\nwidth = 12\n")
+        with pytest.raises(ConfigError, match="line 4: config key 'seed' repeats line 2"):
+            parse_config_text("# c\nseed = 1\n\nseed = 1 # the same value\n")
+
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="bad value"):
             parse_config_text("trials = soon\n")
@@ -475,6 +482,18 @@ class TestManifestReplay:
         with pytest.raises(ConfigError, match="has no \\[config\\] section"):
             read_manifest_config(path)
 
+    def test_manifest_config_section_after_seeds(self, tmp_path):
+        # the section ends at the next "[...]" line, wherever the sections sit
+        path = tmp_path / "manifest.txt"
+        path.write_text(
+            "# codedgi run manifest\n[seeds]\ntrial0 = 1\n"
+            "[config]\nwidth = 8\nheight = 8\ndegree = 4\ntrials = 1\n"
+        )
+        cfg = read_manifest_config(path)
+        assert (cfg.width, cfg.height, cfg.degree, cfg.trials) == (8, 8, 4, 1)
+        path.write_text("[config]\nwidth = 8\nheight = 8\n[other]\nwidth = 12\n[seeds]\n")
+        assert read_manifest_config(path).width == 8
+
     def test_replay_reproduces_bytes(self, tmp_path):
         cfg = tiny_cfg(experiment="compare", out=str(tmp_path / "first"), snr_db=10.0)
         first = run_experiment(cfg)
@@ -539,7 +558,7 @@ class TestManifestReplay:
         run_dir = run_experiment(cfg)
         diag = Path(run_dir, "decode_diagnostics.csv").read_text().splitlines()
         assert [tuple(l.split(",")[2:4]) for l in diag[2:]] == [
-            ("8", "0"), ("8", "0"), ("5", "1"), ("11", "1"),
+            ("50", "0"), ("50", "0"), ("5", "1"), ("11", "1"),
         ]
         sweep = Path(run_dir, "ber_sweep.csv").read_text().splitlines()
         assert [l.split(",")[1] for l in sweep[2:]] == ["0.0703125", "0.0"]
